@@ -146,7 +146,7 @@ def partition_roots(kappa1: RatFunc, kappak: RatFunc) -> RootPartition:
 def _assert_partition_reconstructs(
     k1d: UPoly, kkd: UPoly, part: RootPartition
 ) -> None:
-    num = k1d * part.radk**0  # copy
+    num = k1d
     den = UPoly.one(k1d.d)
     for c in part.shared:
         if c.a1 > 0:
@@ -765,10 +765,11 @@ def certify(
 ) -> Certificate:
     """Run the full pipeline and assemble a certificate.
 
-    Steps: variational coefficients to order K; the regularity gate at
-    infinity (fail -> inapplicable); the H1 transcendence verdict (fail
-    -> inconclusive); then the criterion battery for k = 2..K, stopping
-    at the first firing order (-> nonintegrable).
+    Steps: kappa_1; the regularity gate at infinity (fail ->
+    inapplicable); the H1 transcendence verdict (fail -> inconclusive);
+    then the criterion battery for k = 2..K, stopping at the first firing
+    order (-> nonintegrable).  kappa_k is computed only when the battery
+    reaches order k, so no order above the stopping order is expanded.
     """
     if not 2 <= K <= MAX_ORDER_CAP:
         raise ValueError(f"max order must lie in 2..{MAX_ORDER_CAP}")

@@ -21,6 +21,10 @@ Rat = Union[int, Fraction]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Largest |d| accepted by FieldSpec.  Squarefreeness is decided by trial
+# division up to sqrt|d|, which stays under a second up to this bound.
+MAX_ABS_D = 10**12
+
 
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
@@ -298,12 +302,15 @@ class QuadExt:
 
 
 class FieldSpec:
-    """The coefficient field Q(sqrt d), d a squarefree integer (1 means Q)."""
+    """The coefficient field Q(sqrt d), d a squarefree integer with
+    |d| <= MAX_ABS_D (1 means Q)."""
 
     __slots__ = ("d",)
 
     def __init__(self, d: int = 1):
         d = int(d)
+        if abs(d) > MAX_ABS_D:
+            raise ValueError(f"|d| must not exceed {MAX_ABS_D}, got {d}")
         if d == 0 or not _is_squarefree(d):
             raise ValueError(f"d must be a nonzero squarefree integer, got {d}")
         object.__setattr__(self, "d", d)

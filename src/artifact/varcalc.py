@@ -15,7 +15,7 @@ one residue r_c per irreducible pole class of kappa_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -61,16 +61,38 @@ class CurveData:
 
 @dataclass(frozen=True)
 class VariationalData:
-    """kappa_1..kappa_K, each reduced, for one system and curve."""
+    """kappa_1..kappa_K for one system and curve, each reduced.
+
+    Only the order-0 data is computed at construction; kappa_k is
+    expanded the first time it is asked for, and the recurrence state is
+    kept, so a caller that stops at order k never pays for the orders
+    above k.
+    """
 
     system: PlanarSystem
     curve: CurveData
     K: int
-    kappas: Tuple[RatFunc, ...]
+    # w^k coefficients of P and Q along the curve, k = 0..min(K, deg_eta)
+    p_series: Tuple[RatFunc, ...] = field(repr=False, compare=False)
+    q_series: Tuple[RatFunc, ...] = field(repr=False, compare=False)
+    # [w^k] Q/P for k = 0..n and kappa_1..kappa_n, n the highest order
+    # expanded so far
+    r_series: List[RatFunc] = field(repr=False, compare=False)
+    kappas: List[RatFunc] = field(repr=False, compare=False)
 
     def kappa(self, k: int) -> RatFunc:
         if not 1 <= k <= self.K:
             raise IndexError(f"order {k} outside 1..{self.K}")
+        p, q, r = self.p_series, self.q_series, self.r_series
+        while len(r) <= k:
+            n = len(r)
+            acc = q[n] if n < len(q) else RatFunc.zero(self.system.field.d)
+            # p_series[i] = 0 for i > deg_eta P: those terms drop out
+            for i in range(1, min(n, len(p) - 1) + 1):
+                if not p[i].is_zero():
+                    acc = acc - p[i] * r[n - i]
+            r.append(acc / p[0])
+            self.kappas.append(factorial(n) * r[n])
         return self.kappas[k - 1]
 
 
@@ -94,31 +116,35 @@ def kappa_coefficients(
     displacement w; the denominator series is inverted order by order,
     which is valid because P does not vanish identically on the curve.
     The zeroth coefficient must reproduce phi' (the curve is integral).
+
+    Only that order-0 work runs here, so bad input fails at once; the
+    returned VariationalData expands kappa_k when kappa(k) is first
+    called.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     phi = curve.phi
-    p_series = sys.P.shift_eta(phi, K)
-    q_series = sys.Q.shift_eta(phi, K)
+    p_series = sys.P.shift_eta(phi, min(K, sys.P.degree_eta))
+    q_series = sys.Q.shift_eta(phi, min(K, max(sys.Q.degree_eta, 0)))
     p0 = p_series[0]
     if p0.is_zero():
         raise CurveInSingularLocusError(
             "P vanishes identically on the curve"
         )
-    r_series: List[RatFunc] = [q_series[0] / p0]
-    if r_series[0] != phi.derivative():
+    r0 = q_series[0] / p0
+    if r0 != phi.derivative():
         raise ValueError(
             "curve is not an integral curve: [w^0] of Q/P differs from phi'"
         )
-    for k in range(1, K + 1):
-        acc = q_series[k]
-        for i in range(1, k + 1):
-            acc = acc - p_series[i] * r_series[k - i]
-        r_series.append(acc / p0)
-    kappas = tuple(
-        factorial(k) * r_series[k] for k in range(1, K + 1)
+    return VariationalData(
+        system=sys,
+        curve=curve,
+        K=K,
+        p_series=tuple(p_series),
+        q_series=tuple(q_series),
+        r_series=[r0],
+        kappas=[],
     )
-    return VariationalData(system=sys, curve=curve, K=K, kappas=kappas)
 
 
 def kappa_by_differentiation(

@@ -193,6 +193,12 @@ def test_report_inconclusive_flavours(tmp_path):
     assert doc2["status"] == "inconclusive"
     assert doc2["h1"]["holds"] is True
     assert all(o["criterion"] is None for o in doc2["orders"])
+    # "skipped" marks exactly the orders with kappa_k = 0; the odd orders
+    # here violate the simplicity hypothesis and are not skipped
+    vd = report2.certificate.variational
+    for o in doc2["orders"]:
+        assert o["skipped"] == vd.kappa(o["k"]).is_zero() == (o["k"] % 2 == 0)
+        assert o["extra_hypothesis_ok"] == o["skipped"]
 
 
 def test_report_inapplicable(tmp_path):
@@ -320,7 +326,10 @@ def test_main_usage_errors(capsys):
     assert main(["fold-hopf", "--mu", "1"]) == EXIT_USAGE
     assert main(["fold-hopf", "--mu", "1", "--nu", "1", "--alpha", "1",
                  "--max-order", "99"]) == EXIT_USAGE
-    capsys.readouterr()
+    # a huge d once hung in the squarefree test; now it is refused at once
+    assert main(["fold-hopf", "--mu", "-1", "--nu", "1", "--alpha", "rt",
+                 "--d", "1000000000000000000000000000057"]) == EXIT_USAGE
+    assert "must not exceed" in capsys.readouterr().err
 
 
 def test_main_sweep(tmp_path, capsys):

@@ -477,6 +477,22 @@ def test_certify_stops_at_first_firing_order(F2, rt2):
     assert cert.orders[0].skipped  # even orders vanish identically
 
 
+def test_certify_expands_kappa_only_to_the_firing_order(F2):
+    from artifact.expr import parse_bipoly
+    from artifact.varcalc import CurveData, PlanarSystem
+
+    # expanding this system's series to K = 25 up front took minutes
+    system = PlanarSystem(
+        P=parse_bipoly("xi^3 - 3 + xi*eta", F2),
+        Q=parse_bipoly("eta*(xi^2 + rt) + eta^2*xi", F2),
+        field=F2,
+    )
+    cert = certify(system, CurveData(phi=RatFunc.zero(2)), K=25)
+    assert cert.status == "nonintegrable"
+    assert cert.fired_k == 2 and cert.fired_criterion == "iii"
+    assert len(cert.variational.kappas) == cert.fired_k
+
+
 def test_certify_inconclusive_h1(F2):
     system, curve = fold_hopf_system(FoldHopfParams(F2, -1, 2, 3))
     cert = certify(system, curve, K=9)

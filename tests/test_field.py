@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from artifact.exactalg import FieldSpec, QuadExt, is_rational_square
+from artifact.exactalg.field import MAX_ABS_D
 
 from conftest import rand_scalar
 
@@ -27,6 +28,10 @@ def test_field_spec_validates_d():
         FieldSpec(12)
     assert FieldSpec(-1).d == -1
     assert FieldSpec(-6).d == -6
+    # above the cap d is rejected before any trial division
+    for d in (MAX_ABS_D + 1, -(MAX_ABS_D + 1), 10**30 + 57):
+        with pytest.raises(ValueError, match="must not exceed"):
+            FieldSpec(d)
 
 
 def test_field_spec_accepts_quadext(F1, F2, rt2):

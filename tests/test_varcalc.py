@@ -2,11 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from artifact.exactalg import RatFunc, UPoly, eval_mod
+from artifact.exactalg import BiPoly, RatFunc, UPoly, eval_mod
 from artifact.expr import parse_bipoly, parse_ratfunc
+from artifact.unfoldings import (
+    DoubleHopfParams,
+    FoldHopfParams,
+    double_hopf_kappa,
+    double_hopf_system,
+    fold_hopf_kappa,
+    fold_hopf_system,
+)
 from artifact.varcalc import (
     CurveData,
     CurveInSingularLocusError,
@@ -17,7 +26,7 @@ from artifact.varcalc import (
     verify_integral_curve,
 )
 
-from conftest import rand_upoly
+from conftest import rand_scalar, rand_upoly
 
 
 def make_system(F, p_text, q_text, phi_text="0"):
@@ -49,7 +58,7 @@ def test_singular_curve_rejected(F2):
 
 def test_non_integral_curve_rejected(F2):
     system, curve = make_system(F2, "1", "xi - eta")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an integral curve"):
         kappa_coefficients(system, curve, 3)
 
 
@@ -66,8 +75,6 @@ def test_kappa_known_quadratic_foliation(F2):
 
 
 def test_kappa_series_matches_differentiation_oracle(F2):
-    from artifact.exactalg import BiPoly
-
     rng = random.Random(97)
     trials = 0
     while trials < 6:
@@ -155,3 +162,89 @@ def test_omega_nonconstant_class_residue(F2):
     assert entry.residue.degree == 1  # genuinely nonconstant in K[xi]/(p)
     assert entry.constant_value() is None
     assert not entry.is_rational_number()
+
+
+def eager_kappas(sys, curve, K):
+    """Reference: the whole series to order K in one pass, every term of
+    the recurrence summed, as kappa_coefficients once did up front."""
+    p_series = sys.P.shift_eta(curve.phi, K)
+    q_series = sys.Q.shift_eta(curve.phi, K)
+    r_series = [q_series[0] / p_series[0]]
+    for k in range(1, K + 1):
+        acc = q_series[k]
+        for i in range(1, k + 1):
+            acc = acc - p_series[i] * r_series[k - i]
+        r_series.append(acc / p_series[0])
+    return [factorial(k) * r_series[k] for k in range(1, K + 1)]
+
+
+OUT_OF_ORDER = (5, 2, 6, 3, 1)
+
+
+def test_lazy_kappa_out_of_order_closed_forms(F2, rt2):
+    K = 6
+    fold = FoldHopfParams(F2, mu=F2(-1), nu=F2(1), alpha=rt2)
+    double = DoubleHopfParams(
+        F2, mu=F2(1), nu=rt2, alpha=F2(Fraction(1, 2)), beta=F2(1)
+    )
+    cases = [
+        (fold_hopf_system(fold), lambda k: fold_hopf_kappa(fold, k)),
+        (
+            double_hopf_system(double, chart=1),
+            lambda k: double_hopf_kappa(double, k),
+        ),
+    ]
+    for (system, curve), closed_form in cases:
+        eager = eager_kappas(system, curve, K)
+        # the oracle squares the denominator per order; keep it to k <= 3
+        oracle = kappa_by_differentiation(system, curve, 3)
+        data = kappa_coefficients(system, curve, K)
+        for k in OUT_OF_ORDER:
+            assert data.kappa(k) == eager[k - 1] == closed_form(k)
+            if k <= 3:
+                assert data.kappa(k) == oracle[k - 1]
+        assert len(data.kappas) == K
+
+
+def test_lazy_kappa_out_of_order_random_system(F2):
+    # Q = phi' P + (eta - phi) S makes the nonconstant line eta = phi
+    # integral, so r_0 = phi' != 0 enters every order of the recurrence
+    K = 6
+    rng = random.Random(97)
+    eta = BiPoly.var_eta(2)
+    while True:
+        P = BiPoly([rand_upoly(rng, F2, 1) for _ in range(2)], 2)
+        S = BiPoly([rand_upoly(rng, F2, 1) for _ in range(2)], 2)
+        phi = UPoly([rand_scalar(rng, F2), rand_scalar(rng, F2, nonzero=True)], 2)
+        Q = P * phi.derivative() + (eta - phi) * S
+        system = PlanarSystem(P=P, Q=Q, field=F2)
+        curve = CurveData(phi=RatFunc.from_poly(phi))
+        if not P.eval_eta(curve.phi).is_zero():
+            break
+    eager = eager_kappas(system, curve, K)
+    oracle = kappa_by_differentiation(system, curve, K)
+    data = kappa_coefficients(system, curve, K)
+    for k in OUT_OF_ORDER:
+        assert data.kappa(k) == eager[k - 1] == oracle[k - 1]
+        assert not data.kappa(k).is_zero()
+
+
+def test_lazy_kappa_expands_only_what_is_asked(F2):
+    system, curve = make_system(F2, "eta^2 + xi^2 - 1", "rt*xi*eta + eta")
+    data = kappa_coefficients(system, curve, 9)
+    assert len(data.kappas) == 0
+    data.kappa(4)
+    assert len(data.kappas) == 4
+    data.kappa(2)
+    assert len(data.kappas) == 4
+    for k in (0, 10):
+        with pytest.raises(IndexError):
+            data.kappa(k)
+    assert len(data.kappas) == 4
+
+
+def test_kappa_with_zero_q(F2):
+    # Q = 0 has no eta rows; eta = 0 is still integral, with kappa_k = 0
+    system, curve = make_system(F2, "xi + eta", "0")
+    data = kappa_coefficients(system, curve, 3)
+    assert all(data.kappa(k).is_zero() for k in (3, 1, 2))
