@@ -10,7 +10,8 @@ Subcommands:
   builtin family and print a summary.
 
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
-method does not apply (irregular at infinity), 4 = input/usage error.
+method does not apply (irregular at infinity), 4 = input/usage error,
+5 = internal error (an exact self-check of the pipeline failed).
 The ``NONINT_MAX_ORDER`` environment variable overrides the default
 maximum variational order (9); an explicit config value or ``--max-order``
 flag wins over the environment.
@@ -62,6 +63,7 @@ EXIT_NONINTEGRABLE = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INAPPLICABLE = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 _STATUS_EXIT_CODES = {
     "nonintegrable": EXIT_NONINTEGRABLE,
@@ -192,7 +194,11 @@ class SystemSpec:
         phi = self.phi if self.phi is not None else RatFunc.zero(self.field.d)
         return system, CurveData(phi=phi)
 
-    def input_echo(self) -> Dict[str, object]:
+    def input_echo(
+        self, system: PlanarSystem, curve: CurveData
+    ) -> Dict[str, object]:
+        """The echo of this request; system and curve are what build()
+        returned for it."""
         echo: Dict[str, object] = {"field_d": self.field.d}
         if self.family is not None:
             echo["mode"] = "builtin"
@@ -202,7 +208,6 @@ class SystemSpec:
             echo["params"] = _params_echo(self.params)
         else:
             echo["mode"] = "inline"
-        system, curve = self.build()
         echo["system"] = {
             "P": format_bipoly(system.P),
             "Q": format_bipoly(system.Q),
@@ -414,7 +419,7 @@ def run_check(spec: SystemSpec) -> ReportDocument:
     return ReportDocument(
         certificate=cert,
         version=__version__,
-        input_echo=spec.input_echo(),
+        input_echo=spec.input_echo(system, curve),
         timing_seconds=time.perf_counter() - started,
     )
 
@@ -436,7 +441,8 @@ def sweep(
     axes is an ordered sequence of (parameter name, values); the grid is
     their cartesian product enumerated with the last axis fastest.  Rows
     keep grid order; a failing tuple yields an error row and does not
-    abort the sweep.
+    abort the sweep.  A failed internal self-check (AssertionError) is
+    recorded the same way, its message prefixed with "internal error:".
     """
     if template.family is None:
         raise UsageError("sweep requires a builtin family system")
@@ -466,6 +472,11 @@ def sweep(
         except (UsageError, ValueError, TypeError) as exc:
             rows.append(
                 SweepRow(index=index, params=shown, report=None, error=str(exc))
+            )
+        except AssertionError as exc:
+            rows.append(
+                SweepRow(index=index, params=shown, report=None,
+                         error=f"internal error: {exc}")
             )
     return rows, _summarize(rows)
 
@@ -973,6 +984,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

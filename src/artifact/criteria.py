@@ -52,8 +52,6 @@ STATUS_NONINTEGRABLE = "nonintegrable"
 STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_INAPPLICABLE = "inapplicable"
 
-CRITERIA_IDS = ("i", "ii", "iii", "iv", "v", "vi")
-
 #: Evaluation order of the battery.  The cheap class tests run first;
 #: the degree tests (iv)-(vi) run before the ODE catch-all (iii), which
 #: is both the most expensive test and the one whose failure doubles as
@@ -393,7 +391,7 @@ def _ode_solutions(
             candidates.append(base)
     if not rho.is_zero() and int(rho.degree) == deg_a - 1:
         resonance = -(rho.lc() / A.lc())
-        if resonance.in_Z_geq0():
+        if resonance.is_nonneg_integer():
             candidates.append(int(resonance.a))
     n_max = max(candidates) + 2
     m_max = n_max - 1 + deg_a

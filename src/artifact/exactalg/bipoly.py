@@ -80,12 +80,6 @@ class BiPoly:
             (r.degree for r in self.rows if not r.is_zero()), default=NEG_INF
         )
 
-    def total_degree(self) -> Degree:
-        return max(
-            (r.degree + j for j, r in enumerate(self.rows) if not r.is_zero()),
-            default=NEG_INF,
-        )
-
     def row(self, j: int) -> UPoly:
         if 0 <= j < len(self.rows):
             return self.rows[j]
@@ -169,13 +163,6 @@ class BiPoly:
         return BiPoly([r.derivative() for r in self.rows], self.d)
 
     # -- substitution -------------------------------------------------------------------
-
-    def eval_eta_poly(self, phi: UPoly) -> UPoly:
-        """P(xi, phi(xi)) when phi is polynomial."""
-        acc = UPoly.zero(self.d)
-        for r in reversed(self.rows):
-            acc = acc * phi + r
-        return acc
 
     def eval_eta(self, phi: RatFunc) -> RatFunc:
         """P(xi, phi(xi)) for rational phi."""

@@ -86,7 +86,7 @@ class QuadExt:
 
     def __init__(self, a: Rat = 0, b: Rat = 0, d: int = 1):
         object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b) if d != 1 else Fraction(b))
+        object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", int(d))
         if d == 1 and self.b != 0:
             # fold sqrt(1) = 1 into the rational part rather than erroring
@@ -223,10 +223,6 @@ class QuadExt:
     def is_nonpos_integer(self) -> bool:
         return self.is_integer() and self.a <= 0
 
-    # Short aliases for the integer-lattice membership tests.
-    in_Z_geq0 = is_nonneg_integer
-    in_Z_leq0 = is_nonpos_integer
-
     def sqrt(self) -> Optional["QuadExt"]:
         """An exact square root inside Q(sqrt d), or None.
 
@@ -289,16 +285,6 @@ class QuadExt:
         from ..expr import format_scalar
 
         return format_scalar(self)
-
-    def __float__(self):
-        if self.d < 0 and self.b != 0:
-            raise ValueError("complex-valued element has no float")
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __complex__(self):
-        if self.d >= 0:
-            return complex(float(self))
-        return complex(float(self.a), float(self.b) * math.sqrt(-self.d))
 
 
 class FieldSpec:

@@ -6,12 +6,21 @@ classical operations are exact: ring arithmetic, Euclidean division,
 monic gcd / extended gcd, derivatives, evaluation, and Yun's squarefree
 decomposition.  Every polynomial carries the field discriminant d so that
 even the zero polynomial knows its coefficient field.
+
+`poly_gcd` first runs a one-sided modular test: it reduces both inputs
+modulo a prime p that splits in Q(sqrt d) and returns 1 at once when
+their gcd over F_p is 1.  The test only ever answers "coprime"; every
+other case, including the ones where the reduction is not defined or
+drops a degree, runs the exact Euclidean algorithm.  Its soundness is
+argued in the docstring of `poly_gcd`.  The reduction uses Python
+integers only, so no floating point enters the decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from functools import lru_cache
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .field import QuadExt
 
@@ -289,10 +298,106 @@ def poly_divrem(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
     return divmod(a, b)
 
 
+#: Primes p = 3 (mod 4) just below 2^61 for the modular coprimality test.
+#: For p = 3 (mod 4), a square x mod p has the square root x^((p+1)/4).
+FILTER_PRIMES = tuple(2**61 - k for k in (
+    1, 45, 229, 465, 829, 985, 1153, 1281,
+    1425, 1489, 1525, 1533, 1609, 1621, 1669, 1741,
+))
+
+
+@lru_cache(maxsize=16)
+def split_prime(d: int) -> Optional[Tuple[int, int]]:
+    """The first p in FILTER_PRIMES with (d/p) = 1, and s with s^2 = d mod p.
+
+    None when no prime of the table splits in Q(sqrt d).
+    """
+    for p in FILTER_PRIMES:
+        r = d % p
+        if pow(r, (p - 1) // 2, p) == 1:
+            return p, pow(r, (p + 1) // 4, p)
+    return None
+
+
+def _reduce_mod_p(f: UPoly, p: int, s: int) -> Optional[List[int]]:
+    """Coefficients of f mapped by a + b*sqrt(d) -> a + b*s into F_p,
+    ascending; None when p divides a denominator or the leading
+    coefficient maps to 0 (the image would lose degree)."""
+    out: List[int] = []
+    for c in f.coeffs:
+        r = 0
+        for q, w in ((c.a, 1), (c.b, s)):
+            if q:
+                den = q.denominator % p
+                if den == 0:
+                    return None
+                r += q.numerator * w * pow(den, -1, p)
+        out.append(r % p)
+    return out if out[-1] else None
+
+
+def _rem_mod_p(f: List[int], g: List[int], p: int) -> List[int]:
+    """Remainder of f by g over F_p, ascending lists, g[-1] != 0, the
+    result stripped of leading zeros."""
+    f = list(f)
+    n = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    for i in range(len(f) - 1, n - 1, -1):
+        c = f[i] * inv % p
+        if c:
+            base = i - n
+            for j in range(n):
+                f[base + j] = (f[base + j] - c * g[j]) % p
+    del f[n:]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _coprime_mod_p(a: UPoly, b: UPoly) -> bool:
+    """True only if gcd(a, b) = 1 is proven by the images mod a split prime.
+
+    False means "unknown", never "not coprime".
+    """
+    split = split_prime(a.d)
+    if split is None:
+        return False
+    p, s = split
+    f = _reduce_mod_p(a, p, s)
+    g = _reduce_mod_p(b, p, s)
+    if f is None or g is None:
+        return False
+    while len(g) > 1:
+        f, g = g, _rem_mod_p(f, g, p)
+    return len(g) == 1
+
+
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
+    """Monic greatest common divisor (gcd(0, 0) = 0).
+
+    When both inputs have degree >= 1, a modular test runs first.  Let p
+    be the first prime of FILTER_PRIMES that splits in K = Q(sqrt d) and
+    s a square root of d mod p; a + b*sqrt(d) -> a + b*s (mod p) is then
+    a ring homomorphism from the local ring O of K at a prime above p
+    onto F_p, defined on every a + b*sqrt(d) whose rationals a, b have
+    denominators prime to p.  If every coefficient of a and b lies there
+    and neither leading coefficient maps to 0, any monic common divisor g
+    of positive degree over K has coefficients in O (Gauss's lemma in the
+    discrete valuation ring O: a monic factor of a polynomial with
+    coefficients in O and unit leading coefficient has coefficients in
+    O), so its image is a common divisor of the images of a and b of the
+    same positive degree.  Hence a gcd of 1 over F_p proves a gcd of 1
+    over K, and 1 is returned, exactly what the Euclidean algorithm
+    returns for coprime inputs.  In every other case (no prime of the
+    table splits, a denominator divisible by p, a leading coefficient
+    that vanishes mod p, or a nontrivial gcd mod p) the exact Euclidean
+    algorithm below runs unchanged, so the test never turns a nontrivial
+    gcd into 1.
+    """
     if a.d != b.d:
         raise ValueError("gcd of polynomials over different fields")
+    if a.degree >= 1 and b.degree >= 1 and _coprime_mod_p(a, b):
+        return UPoly.one(a.d)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()

@@ -286,7 +286,7 @@ def _fold_hopf_clauses(p: FoldHopfParams) -> Tuple[ClauseEvaluation, ...]:
                 "nu/sqrt(-mu) not in Q",
                 None if ratio_rational is None else not ratio_rational,
             ),
-            ("2*alpha - 1 not in Z<=0", not two_alpha.in_Z_leq0()),
+            ("2*alpha - 1 not in Z<=0", not two_alpha.is_nonpos_integer()),
         ],
     )
     c3 = _clause(
@@ -294,7 +294,7 @@ def _fold_hopf_clauses(p: FoldHopfParams) -> Tuple[ClauseEvaluation, ...]:
         [
             ("mu == 0", mu.is_zero()),
             ("nu != 0", not nu.is_zero()),
-            ("2*alpha - 1 not in Z<=0", not two_alpha.in_Z_leq0()),
+            ("2*alpha - 1 not in Z<=0", not two_alpha.is_nonpos_integer()),
         ],
     )
     return (c1, c2, c3)
@@ -321,10 +321,11 @@ def _double_hopf_chart1_clauses(
                 "nu/mu not in Q",
                 None if ratio is None else not ratio.is_rational(),
             ),
-            ("alpha not in Z>=0", not alpha.in_Z_geq0()),
+            ("alpha not in Z>=0", not alpha.is_nonneg_integer()),
             (
                 "alpha + nu/mu + 2 not in Z<=0",
-                None if ratio is None else not (alpha + ratio + 2).in_Z_leq0(),
+                None if ratio is None
+                else not (alpha + ratio + 2).is_nonpos_integer(),
             ),
             *prods,
         ],
@@ -337,7 +338,7 @@ def _double_hopf_chart1_clauses(
                 "alpha + nu/mu not in Q",
                 None if ratio is None else not (alpha + ratio).is_rational(),
             ),
-            ("alpha not in Z>=0", not alpha.in_Z_geq0()),
+            ("alpha not in Z>=0", not alpha.is_nonneg_integer()),
             *prods,
         ],
     )
@@ -346,7 +347,7 @@ def _double_hopf_chart1_clauses(
         [
             ("mu == 0", mu.is_zero()),
             ("nu != 0", not nu.is_zero()),
-            ("alpha not in Z>=0", not alpha.in_Z_geq0()),
+            ("alpha not in Z>=0", not alpha.is_nonneg_integer()),
             ("beta != s", beta != s),
         ],
     )
@@ -378,10 +379,11 @@ def _double_hopf_chart2_clauses(
                 "mu/nu not in Q",
                 None if ratio is None else not ratio.is_rational(),
             ),
-            ("beta*s not in Z<=0", not beta_s.in_Z_leq0()),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
             (
                 "beta*s - mu/nu - 2 not in Z>=0",
-                None if ratio is None else not (beta_s - ratio - 2).in_Z_geq0(),
+                None if ratio is None
+                else not (beta_s - ratio - 2).is_nonneg_integer(),
             ),
             *prods,
         ],
@@ -394,7 +396,7 @@ def _double_hopf_chart2_clauses(
                 "beta*s - mu/nu not in Q",
                 None if ratio is None else not (beta_s - ratio).is_rational(),
             ),
-            ("beta*s not in Z<=0", not beta_s.in_Z_leq0()),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
             *prods,
         ],
     )
@@ -403,7 +405,7 @@ def _double_hopf_chart2_clauses(
         [
             ("nu == 0", nu.is_zero()),
             ("mu != 0", not mu.is_zero()),
-            ("beta*s not in Z<=0", not beta_s.in_Z_leq0()),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
             ("alpha != -1", alpha != -1),
         ],
     )

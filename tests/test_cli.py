@@ -8,6 +8,7 @@ from artifact import __version__
 from artifact.cli import (
     EXIT_INAPPLICABLE,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_NONINTEGRABLE,
     EXIT_USAGE,
     SystemSpec,
@@ -240,6 +241,26 @@ def test_sweep_isolates_per_tuple_errors(tmp_path):
     assert all(r.report is not None for r in rows if r.params["nu"] == "1")
 
 
+def test_sweep_records_internal_errors(tmp_path, monkeypatch):
+    from artifact import cli
+
+    template, axes = load_sweep_config(write(tmp_path, "s.ini", SWEEP_INI))
+    certify, calls = cli.certify, []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AssertionError("ODE solver produced a non-solution")
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "certify", flaky)
+    rows, summary = sweep(template, axes)
+    assert summary["total"] == 6 and summary["errors"] == 1
+    assert rows[1].report is None
+    assert rows[1].error == "internal error: ODE solver produced a non-solution"
+    assert all(r.report is not None for r in rows if r.index != 1)
+
+
 def test_sweep_requires_family(tmp_path):
     path = write(tmp_path, "s.ini", INLINE_INI + "\n[sweep]\nnu = 1\n")
     with pytest.raises(UsageError):
@@ -330,6 +351,37 @@ def test_main_usage_errors(capsys):
     assert main(["fold-hopf", "--mu", "-1", "--nu", "1", "--alpha", "rt",
                  "--d", "1000000000000000000000000000057"]) == EXIT_USAGE
     assert "must not exceed" in capsys.readouterr().err
+
+
+def test_main_internal_error(monkeypatch, capsys):
+    from artifact import cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("root partition does not reconstruct kappa_kd")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    code = main(["fold-hopf", "--mu", "-1", "--nu", "1", "--alpha", "rt",
+                 "--d", "2"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal error: root partition does not reconstruct kappa_kd\n"
+    )
+    assert captured.out == ""
+
+
+def test_run_check_builds_the_system_once(tmp_path, monkeypatch):
+    spec = load_config(write(tmp_path, "a.ini", BUILTIN_INI))
+    expected = run_check(spec).to_json()
+    build, calls = SystemSpec.build, []
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(SystemSpec, "build", counted)
+    assert run_check(spec).to_json() == expected
+    assert len(calls) == 1
 
 
 def test_main_sweep(tmp_path, capsys):

@@ -113,3 +113,12 @@ def test_ordering_sort_key_is_total(F2):
     for u, v in zip(values, values[1:]):
         if u == v:
             assert u.sort_key() == v.sort_key()
+
+
+def test_no_float_conversion(F2, rt2):
+    # floats must not enter the decision path: elements refuse conversion
+    for x in (F2(3), rt2, FieldSpec(-1).surd()):
+        with pytest.raises(TypeError):
+            float(x)
+        with pytest.raises(TypeError):
+            complex(x)

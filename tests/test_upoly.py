@@ -1,10 +1,12 @@
 """Univariate polynomial arithmetic over Q(sqrt d)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from artifact.exactalg import (
+    FieldSpec,
     NEG_INF,
     UPoly,
     inverse_mod,
@@ -16,8 +18,10 @@ from artifact.exactalg import (
     squarefree_part,
     strip_power_of_x,
 )
+from artifact.exactalg import upoly
+from artifact.exactalg.upoly import FILTER_PRIMES, split_prime
 
-from conftest import rand_upoly
+from conftest import rand_scalar, rand_upoly
 
 
 def xp(*coeffs, d=2):
@@ -190,3 +194,112 @@ def test_monic_and_scale(F2, rt2):
     assert m == f.scale(F2(1) / F2(4))
     g = xp(0, rt2)
     assert g.monic() == UPoly.x(2)
+
+
+# -- the modular coprimality test in poly_gcd ----------------------------------
+
+
+def euclid_gcd(a, b):
+    """Reference: the plain Euclidean gcd, without the modular test."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 13 prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    r, s = n - 1, 0
+    while r % 2 == 0:
+        r, s = r // 2, s + 1
+    for q in bases:
+        x = pow(q, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_filter_prime_table():
+    assert len(set(FILTER_PRIMES)) == len(FILTER_PRIMES) > 1
+    for p in FILTER_PRIMES:
+        assert p < 2**61 and p % 4 == 3 and _is_prime(p)
+    assert not _is_prime(2**61 - 3) and _is_prime(2**31 - 1)
+
+
+def test_split_prime_gives_a_square_root_of_d():
+    for d in (1, 2, 3, 5, -2, -7, 13, 10**12 - 11):
+        p, s = split_prime(d)
+        assert p in FILTER_PRIMES and s * s % p == d % p
+        # the first prime of the table in which d is a square
+        assert all(pow(d % q, (q - 1) // 2, q) != 1
+                   for q in FILTER_PRIMES[:FILTER_PRIMES.index(p)])
+    # -1 is a non-square modulo every p = 3 (mod 4): Euclid always runs
+    assert split_prime(-1) is None
+
+
+def test_gcd_matches_euclid_seeded():
+    rng = random.Random(41)
+    proven = 0
+    for d in (1, 2, -1, 5):
+        F = FieldSpec(d)
+        for i in range(60):
+            a = rand_upoly(rng, F, max_degree=5, nonzero=True)
+            b = rand_upoly(rng, F, max_degree=5, nonzero=True)
+            if i % 5 < 2:
+                common = UPoly(
+                    [rand_scalar(rng, F) for _ in range(rng.randint(1, 3))]
+                    + [rand_scalar(rng, F, nonzero=True)], d)
+                a, b = a * common, b * common
+            expected = euclid_gcd(a, b)
+            assert poly_gcd(a, b) == expected
+            assert poly_gcd(b, a) == expected
+            if upoly._coprime_mod_p(a, b):
+                assert expected.is_one()
+                proven += 1
+    assert proven > 60
+
+
+def test_gcd_falls_back_on_a_denominator_divisible_by_p():
+    p, _ = split_prime(2)
+    lin = xp(Fraction(1, p), 1)  # xi + 1/p
+    for a, b, g in ((lin, xp(1, 0, 1), UPoly.one(2)),
+                    (lin * xp(1, 1), lin * xp(2, 1), lin)):
+        assert not upoly._coprime_mod_p(a, b)
+        assert poly_gcd(a, b) == g == euclid_gcd(a, b)
+
+
+def test_gcd_falls_back_on_a_leading_coefficient_divisible_by_p():
+    p, _ = split_prime(2)
+    # mod p both drop to degree 1 and look coprime: (xi + 1) and (xi + 2);
+    # the true gcd xi + 1/p is not p-integral
+    a = xp(1, p) * xp(1, 1)
+    b = xp(1, p) * xp(2, 1)
+    assert not upoly._coprime_mod_p(a, b)
+    assert poly_gcd(a, b) == xp(Fraction(1, p), 1) == euclid_gcd(a, b)
+
+
+def test_coprime_gcd_is_proven_without_exact_division(monkeypatch):
+    rng = random.Random(7)
+    F = FieldSpec(2)
+
+    def monic(degree):
+        return UPoly([F(rng.randint(-3, 3), rng.randint(-3, 3))
+                      for _ in range(degree)] + [F(1)], 2)
+
+    a, b = monic(32), monic(31)
+    expected = euclid_gcd(a, b)
+    assert expected.is_one()
+
+    def refuse(self, other):
+        raise AssertionError("exact division reached")
+
+    monkeypatch.setattr(UPoly, "__divmod__", refuse)
+    assert poly_gcd(a, b) == expected
