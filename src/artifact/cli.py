@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
 method does not apply (irregular at infinity), 4 = input/usage error,
-5 = internal error (an exact self-check of the pipeline failed).
+5 = internal error (an exact self-check of the pipeline failed).  A sweep
+exits 5 if any tuple hit an internal error, 4 if every tuple of a
+non-empty grid failed, and 0 otherwise.
 The ``NONINT_MAX_ORDER`` environment variable overrides the default
 maximum variational order (9); an explicit config value or ``--max-order``
 flag wins over the environment.
@@ -64,6 +66,7 @@ EXIT_INCONCLUSIVE = 1
 EXIT_INAPPLICABLE = 3
 EXIT_USAGE = 4
 EXIT_INTERNAL = 5
+INTERNAL_ERROR_PREFIX = "internal error: "
 
 _STATUS_EXIT_CODES = {
     "nonintegrable": EXIT_NONINTEGRABLE,
@@ -476,7 +479,7 @@ def sweep(
         except AssertionError as exc:
             rows.append(
                 SweepRow(index=index, params=shown, report=None,
-                         error=f"internal error: {exc}")
+                         error=f"{INTERNAL_ERROR_PREFIX}{exc}")
             )
     return rows, _summarize(rows)
 
@@ -960,17 +963,28 @@ def _cmd_double_hopf(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _sweep_exit_code(rows: Sequence[SweepRow]) -> int:
+    """5 if any tuple hit an internal error, else 4 if a non-empty grid
+    certified no tuple at all, else 0."""
+    errors = [row.error for row in rows if row.error is not None]
+    if any(e.startswith(INTERNAL_ERROR_PREFIX) for e in errors):
+        return EXIT_INTERNAL
+    if rows and len(errors) == len(rows):
+        return EXIT_USAGE
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     template, axes = load_sweep_config(args.file, max_order_flag=args.max_order)
     rows, summary = sweep(template, axes)
     if args.json_path == "-":
         sys.stdout.write(sweep_json(rows, summary))
-        return EXIT_NONINTEGRABLE
+        return _sweep_exit_code(rows)
     if args.json_path is not None:
         with open(args.json_path, "w") as handle:
             handle.write(sweep_json(rows, summary))
     sys.stdout.write(render_sweep_text(rows, summary))
-    return EXIT_NONINTEGRABLE
+    return _sweep_exit_code(rows)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -985,7 +999,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"{INTERNAL_ERROR_PREFIX}{exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -21,7 +21,7 @@ Everything is exact; no criterion is ever decided numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .exactalg import (
     QuadExt,
@@ -244,28 +244,6 @@ def simplicity_profile(
     return SimplicityProfile(k=k, classes=tuple(classes))
 
 
-def auxiliary_polynomial(
-    kappa1: RatFunc, part: RootPartition, k: int, b: Sequence[int]
-) -> UPoly:
-    """The auxiliary polynomial for multiplier tuple b (one entry per
-    shared class):
-
-        (k-1)*kappa_1n*rad1
-            - kappa_1d * sum_c (a1_c + b_c - 1) * p_c' * prod_{c'!=c} p_c'.
-
-    Used as the symbolic oracle against the bad_b closed form.
-    """
-    if len(b) != len(part.shared):
-        raise ValueError("one multiplier per shared class required")
-    d = kappa1.d
-    acc = (kappa1.num * (k - 1)) * part.rad1
-    total = UPoly.zero(d)
-    for c, b_c in zip(part.shared, b):
-        cofactor = part.rad1.exact_div(c.factor)
-        total = total + (c.a1 + b_c - 1) * c.factor.derivative() * cofactor
-    return acc - kappa1.den * total
-
-
 # ---------------------------------------------------------------------------
 # rho and the polynomial ODE
 # ---------------------------------------------------------------------------
@@ -316,66 +294,34 @@ def divide_by_rho(
     return rho_bar, rho_tilde, n_bar
 
 
-def _solve_linear_exact(
-    rows: List[List[QuadExt]], rhs: List[QuadExt], d: int
-) -> Optional[Tuple[List[QuadExt], List[List[QuadExt]]]]:
-    """Solve rows*x = rhs over the field; (particular, kernel basis) or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    zero = QuadExt(0, 0, d)
-    one = QuadExt(1, 0, d)
-    pivots: List[int] = []
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, nrows):
-            if not aug[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = aug[prow][col].inverse()
-        aug[prow] = [x * inv for x in aug[prow]]
-        for r in range(nrows):
-            if r != prow and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    for r in range(prow, nrows):
-        if not aug[r][ncols].is_zero():
-            return None
-    particular = [zero] * ncols
-    for idx, col in enumerate(pivots):
-        particular[col] = aug[idx][ncols]
-    pivot_set = set(pivots)
-    kernel: List[List[QuadExt]] = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for idx, col in enumerate(pivots):
-            vec[col] = -aug[idx][fc]
-        kernel.append(vec)
-    return particular, kernel
-
-
 def _ode_solutions(
     A: UPoly, rho: UPoly, rhs: UPoly
 ) -> Tuple[Optional[UPoly], Optional[UPoly]]:
     """All polynomial solutions of A z' + rho z = rhs.
 
-    Returns (particular, kernel generator); the kernel is at most
-    one-dimensional (two independent solutions of the homogeneous
-    equation would have a constant ratio).  Candidate degrees come from
-    leading-term analysis; degree 0 is always admitted (a constant
-    solution contributes no z' term and escapes that analysis), and the
-    linear system is solved with a safety margin of two extra degrees.
+    Returns (particular, kernel generator), or (None, None) when there is
+    no solution.  The kernel is at most one-dimensional (two independent
+    solutions of the homogeneous equation would have a constant ratio).
+    The unknowns are z_0..z_n: the degree bound n comes from leading-term
+    analysis, with degree 0 always admitted (a constant solution
+    contributes no z' term and escapes that analysis) and a safety margin
+    of two extra degrees.  The equations are the coefficients of x^m.
+
+    With lead = max(deg A - 1, deg rho), the unknown z_i reaches no row
+    above m = i + lead, where its coefficient is c(i) = i*A[lead+1] +
+    rho[lead].  The system is therefore triangular and is solved by
+    back-substitution in exact arithmetic: for i = n, ..., 0, row i + lead
+    fixes z_i from the z_j (j > i) already known.  c(i) vanishes at most at
+    one index, the resonance; there z_i becomes a free parameter t, and the
+    unknowns below it are carried as p_i + t*q_i.  The rows no unknown
+    tops -- the resonant row and the rows below lead -- are consistency
+    checks a + b*t = 0, each of which rejects the system, fixes t, or holds
+    for every t; the kernel survives only when no check fixes t.  No row
+    lies above n + lead, since n + lead > deg rhs.
+
+    The pair is normalised as reduced echelon form normalises it: the
+    kernel generator has its top nonzero coefficient (at the resonance)
+    equal to 1, and the particular solution is 0 at that index.
     """
     if A.is_zero():
         raise ValueError("leading coefficient polynomial A must be nonzero")
@@ -394,31 +340,67 @@ def _ode_solutions(
         if resonance.is_nonneg_integer():
             candidates.append(int(resonance.a))
     n_max = max(candidates) + 2
-    m_max = n_max - 1 + deg_a
-    if not rho.is_zero():
-        m_max = max(m_max, n_max + int(rho.degree))
-    if not rhs.is_zero():
-        m_max = max(m_max, int(rhs.degree))
-    rows = [
-        [
-            A.coeff(m - i + 1) * i + rho.coeff(m - i)
-            for i in range(n_max + 1)
-        ]
-        for m in range(m_max + 1)
-    ]
-    vec = [rhs.coeff(m) for m in range(m_max + 1)]
-    solved = _solve_linear_exact(rows, vec, d)
-    if solved is None:
-        return None, None
-    particular_coeffs, kernel_vectors = solved
-    particular = UPoly(particular_coeffs, d)
+    zero = QuadExt(0, 0, d)
+    a_terms = [(j, c) for j, c in enumerate(A.coeffs) if c]
+    r_terms = [(j, c) for j, c in enumerate(rho.coeffs) if c]
+
+    def row(m: int, z: List[QuadExt], dz: List[QuadExt]) -> QuadExt:
+        """[x^m] (A w' + rho w) for w = sum z_i x^i, given dz_i = i*z_i."""
+        acc = zero
+        for j, c in a_terms:
+            i = m + 1 - j
+            if 0 <= i <= n_max and dz[i]:
+                acc = acc + c * dz[i]
+        for j, c in r_terms:
+            i = m - j
+            if 0 <= i <= n_max and z[i]:
+                acc = acc + c * z[i]
+        return acc
+
+    top_a, top_r = A.coeff(lead + 1), rho.coeff(lead)
+    p = [zero] * (n_max + 1)
+    dp = [zero] * (n_max + 1)
+    q: Optional[List[QuadExt]] = None
+    dq: List[QuadExt] = []
+    for i in range(n_max, -1, -1):
+        m = i + lead
+        c = top_a * i + top_r
+        if c.is_zero():
+            if q is not None:
+                raise AssertionError(
+                    "homogeneous kernel cannot exceed dimension 1"
+                )
+            if m >= 0 and rhs.coeff(m) != row(m, p, dp):
+                return None, None
+            q = [zero] * (n_max + 1)
+            dq = [zero] * (n_max + 1)
+            q[i] = QuadExt(1, 0, d)
+            dq[i] = QuadExt(i, 0, d)
+            continue
+        inv = c.inverse()
+        p[i] = (rhs.coeff(m) - row(m, p, dp)) * inv
+        dp[i] = p[i] * i
+        if q is not None:
+            q[i] = -(row(m, q, dq) * inv)
+            dq[i] = q[i] * i
+    t: Optional[QuadExt] = None
+    for m in range(lead):
+        # residual of row m at p + t*q is a - b*t
+        a = rhs.coeff(m) - row(m, p, dp)
+        b = row(m, q, dq) if q is not None else zero
+        if t is not None:
+            a, b = a - b * t, zero
+        if b:
+            t = a / b
+        elif a:
+            return None, None
+    if q is not None and t is not None:
+        p = [x + t * y for x, y in zip(p, q)]
+        q = None
+    particular = UPoly(p, d)
     if A * particular.derivative() + rho * particular != rhs:
         raise AssertionError("ODE solver produced a non-solution")
-    kernels = [UPoly(v, d) for v in kernel_vectors]
-    kernels = [z for z in kernels if not z.is_zero()]
-    if len(kernels) > 1:
-        raise AssertionError("homogeneous kernel cannot exceed dimension 1")
-    return particular, (kernels[0] if kernels else None)
+    return particular, (UPoly(q, d) if q is not None else None)
 
 
 def polynomial_solution(

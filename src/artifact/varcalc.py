@@ -147,33 +147,6 @@ def kappa_coefficients(
     )
 
 
-def kappa_by_differentiation(
-    sys: PlanarSystem, curve: CurveData, K: int
-) -> Tuple[RatFunc, ...]:
-    """Oracle route: kappa_k = (d/d eta)^k (Q/P) restricted to the curve.
-
-    Repeated symbolic differentiation of the quotient followed by
-    substitution of eta = phi.  Slower than the series route; retained
-    for cross-checking.
-    """
-    phi = curve.phi
-    num, den = sys.Q, sys.P
-    out: List[RatFunc] = []
-    for _ in range(1, K + 1):
-        # d/d eta (num/den) = (num_eta * den - num * den_eta) / den^2
-        num, den = (
-            num.derivative_eta() * den - num * den.derivative_eta(),
-            den * den,
-        )
-        den_val = den.eval_eta(phi)
-        if den_val.is_zero():
-            raise CurveInSingularLocusError(
-                "P vanishes identically on the curve"
-            )
-        out.append(num.eval_eta(phi) / den_val)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ResidueEntry:
     """The residue of kappa_1 on one irreducible pole class.

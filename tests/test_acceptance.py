@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 from conftest import rand_scalar
+from oracles import auxiliary_polynomial
 
 from artifact.criteria import (
-    auxiliary_polynomial,
     build_rho,
     certify,
     divide_by_rho,

@@ -400,6 +400,52 @@ def test_main_sweep(tmp_path, capsys):
     )
 
 
+def _patch_certify(monkeypatch, errors):
+    """Make cli.certify raise errors[i] on its i-th call, where not None."""
+    from artifact import cli
+
+    certify, planned = cli.certify, iter(errors)
+
+    def patched(*args, **kwargs):
+        exc = next(planned, None)
+        if exc is not None:
+            raise exc
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "certify", patched)
+
+
+USAGE = ValueError("division is not exact")
+INTERNAL = AssertionError("ODE solver produced a non-solution")
+
+
+@pytest.mark.parametrize(
+    "errors, code",
+    [
+        ([None] * 6, 0),
+        ([None, USAGE, None, None, None, None], 0),
+        ([USAGE] * 6, 4),
+        ([None, INTERNAL, None, None, None, None], 5),
+        ([USAGE, USAGE, INTERNAL, USAGE, USAGE, USAGE], 5),
+    ],
+    ids=["clean", "one-error", "all-errors", "one-internal", "all-failed"],
+)
+def test_main_sweep_exit_codes(tmp_path, monkeypatch, capsys, errors, code):
+    """5 on any internal error, else 4 when every tuple errored, else 0;
+    the documents are written either way."""
+    path = write(tmp_path, "s.ini", SWEEP_INI)
+    for argv in (["sweep", path], ["sweep", path, "--json", "-"]):
+        _patch_certify(monkeypatch, errors)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert "6 tuples" in out or '"total": 6' in out
+
+
+def test_main_sweep_empty_grid_exits_0(tmp_path, capsys):
+    path = write(tmp_path, "s.ini", BUILTIN_INI + "\n[sweep]\n")
+    assert main(["sweep", path]) == 0
+    assert "sweep: 0 tuples, 0 errors" in capsys.readouterr().out
+
 def test_main_version_flag(capsys):
     code = main(["--version"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Root partitions, simplicity, rho division, the ODE test, the battery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from artifact.criteria import (
     DEFAULT_MAX_ORDER,
     MAX_ORDER_CAP,
     SkipOrder,
-    auxiliary_polynomial,
+    _ode_solutions,
     build_rho,
     certify,
     check_H1,
@@ -19,7 +20,14 @@ from artifact.criteria import (
     polynomial_solution,
     simplicity_profile,
 )
-from artifact.exactalg import RatFunc, UPoly, multiplicity, poly_gcd
+from artifact.exactalg import (
+    FieldSpec,
+    QuadExt,
+    RatFunc,
+    UPoly,
+    multiplicity,
+    poly_gcd,
+)
 from artifact.expr import parse_ratfunc
 from artifact.unfoldings import (
     DoubleHopfParams,
@@ -30,6 +38,9 @@ from artifact.unfoldings import (
     fold_hopf_system,
 )
 from artifact.varcalc import omega_decompose
+
+from conftest import rand_scalar, rand_upoly
+from oracles import auxiliary_polynomial, dense_ode_solutions
 
 
 def xp(*coeffs, d=2):
@@ -310,6 +321,115 @@ def test_polynomial_solution_resonant_degree(F2):
     z = polynomial_solution(A, rho, rhs)
     assert z is not None
     assert A * z.derivative() + rho * z == rhs
+
+
+# ---------------------------------------------------------------------------
+# back-substitution against the dense Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+
+def _rand_poly(rng, F, lo, hi):
+    """A random polynomial of exact degree in lo..hi."""
+    deg = rng.randint(lo, hi)
+    coeffs = [rand_scalar(rng, F) for _ in range(deg)]
+    return UPoly(coeffs + [rand_scalar(rng, F, nonzero=True)], F.d)
+
+
+def _image(A, rho, z):
+    return A * z.derivative() + rho * z
+
+
+def _ode_cases(rng, F):
+    """One seeded input per class: (class, A, rho, rhs)."""
+    d = F.d
+    z = rand_upoly(rng, F, 5)
+    A = _rand_poly(rng, F, 1, 4)
+    yield "rho = 0", A, UPoly.zero(d), A * z.derivative()
+    A = _rand_poly(rng, F, 3, 4)
+    rho = _rand_poly(rng, F, 0, int(A.degree) - 2)
+    yield "deg rho < deg A - 1", A, rho, _image(A, rho, z)
+    # q solves A q' + rho q = 0 for A = q*B, rho = -B*q': resonance deg q
+    q = _rand_poly(rng, F, 1, 4)
+    B = _rand_poly(rng, F, 0, 2)
+    A, rho = q * B, -(B * q.derivative())
+    yield "resonant, kernel survives", A, rho, _image(A, rho, z)
+    A = _rand_poly(rng, F, 2, 4)
+    r = rng.randint(1, 6)
+    low = _rand_poly(rng, F, int(A.degree) - 2, int(A.degree) - 2)
+    rho = low + UPoly.monomial(-A.lc() * r, int(A.degree) - 1, d)
+    yield "resonant, a low row fixes t", A, rho, _image(A, rho, z)
+    A = _rand_poly(rng, F, 0, 3)
+    rho = _rand_poly(rng, F, max(int(A.degree), 1), int(A.degree) + 2)
+    yield "deg rho > deg A - 1", A, rho, _image(A, rho, z)
+    yield "inconsistent", A, rho, _image(A, rho, z) + UPoly.one(d)
+
+
+def test_ode_solutions_match_dense_oracle():
+    """Back-substitution returns exactly the reduced-echelon pair of the
+    dense solve: same particular solution, same normalised kernel."""
+    rng = random.Random(20261018)
+    seen = {}
+    for trial in range(40):
+        F = FieldSpec((1, 2, 5)[trial % 3])
+        for name, A, rho, rhs in _ode_cases(rng, F):
+            particular, kernel = _ode_solutions(A, rho, rhs)
+            want, kernels = dense_ode_solutions(A, rho, rhs)
+            assert len(kernels) <= 1
+            assert particular == want, name
+            assert kernel == (kernels[0] if kernels else None), name
+            shape = (particular is not None, kernel is not None)
+            seen.setdefault(name, set()).add(shape)
+            if kernel is not None:
+                top = int(kernel.degree)
+                assert kernel.lc() == 1 and particular.coeff(top) == 0
+    assert seen == {
+        "rho = 0": {(True, True)},
+        "deg rho < deg A - 1": {(True, False)},
+        "resonant, kernel survives": {(True, True)},
+        "resonant, a low row fixes t": {(True, False)},
+        "deg rho > deg A - 1": {(True, False)},
+        "inconsistent": {(False, False)},
+    }
+
+
+@pytest.mark.parametrize(
+    "A, rho, rhs",
+    [
+        # x z' - z = x: the resonant row x^1 reads 0 = 1
+        (xp(0, 1), xp(-1), xp(0, 1)),
+        # z' + x z = 1: the low row x^0 cannot be met
+        (xp(1), xp(0, 1), xp(1)),
+    ],
+)
+def test_ode_solutions_rejects_like_dense_oracle(A, rho, rhs):
+    assert _ode_solutions(A, rho, rhs) == (None, None)
+    assert dense_ode_solutions(A, rho, rhs) == (None, [])
+
+
+def _count_mul(monkeypatch, A, rho, rhs):
+    calls = [0]
+    mul = QuadExt.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    _ode_solutions(A, rho, rhs)
+    monkeypatch.setattr(QuadExt, "__mul__", mul)
+    return calls[0]
+
+
+def test_ode_solve_work_is_linear_in_the_resonance(monkeypatch, rt2):
+    """Doubling the resonance about doubles the QuadExt products: a
+    triangular solve is linear in the degree bound, a dense one cubic."""
+    counts = []
+    for r in (20, 40):
+        A = UPoly([1, rt2, 2, 3], 2)
+        rho = UPoly([rt2, -1, -3 * r], 2)
+        rhs = _image(A, rho, UPoly([1, 2, rt2], 2))
+        counts.append(_count_mul(monkeypatch, A, rho, rhs))
+    assert counts[1] <= 2.5 * counts[0]
 
 
 # ---------------------------------------------------------------------------

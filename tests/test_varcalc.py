@@ -20,13 +20,13 @@ from artifact.varcalc import (
     CurveData,
     CurveInSingularLocusError,
     PlanarSystem,
-    kappa_by_differentiation,
     kappa_coefficients,
     omega_decompose,
     verify_integral_curve,
 )
 
 from conftest import rand_scalar, rand_upoly
+from oracles import kappa_by_differentiation
 
 
 def make_system(F, p_text, q_text, phi_text="0"):
