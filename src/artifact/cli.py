@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
 method does not apply (irregular at infinity), 4 = input/usage error,
-5 = internal error (an exact self-check of the pipeline failed).  A sweep
+5 = internal error (an exact self-check of the pipeline failed, or the
+pipeline raised an error on input it accepted).  A sweep
 exits 5 if any tuple hit an internal error, 4 if every tuple of a
 non-empty grid failed, and 0 otherwise.
 The ``NONINT_MAX_ORDER`` environment variable overrides the default
@@ -59,7 +60,7 @@ from .unfoldings import (
     double_hopf_system,
     fold_hopf_system,
 )
-from .varcalc import CurveData, PlanarSystem
+from .varcalc import CurveData, InvalidInputError, PlanarSystem
 
 EXIT_NONINTEGRABLE = 0
 EXIT_INCONCLUSIVE = 1
@@ -82,6 +83,10 @@ FAMILY_DOUBLE_HOPF = "double-hopf"
 
 class UsageError(Exception):
     """Bad input (config, expression, or parameter); maps to exit code 4."""
+
+
+class InternalError(Exception):
+    """A fault inside the pipeline on valid input; maps to exit code 5."""
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +422,10 @@ def run_check(spec: SystemSpec) -> ReportDocument:
     system, curve = spec.build()
     try:
         cert = certify(system, curve, K=spec.max_order)
-    except ValueError as exc:
+    except InvalidInputError as exc:
         raise UsageError(str(exc)) from exc
+    except ValueError as exc:
+        raise InternalError(str(exc)) from exc
     return ReportDocument(
         certificate=cert,
         version=__version__,
@@ -444,7 +451,7 @@ def sweep(
     axes is an ordered sequence of (parameter name, values); the grid is
     their cartesian product enumerated with the last axis fastest.  Rows
     keep grid order; a failing tuple yields an error row and does not
-    abort the sweep.  A failed internal self-check (AssertionError) is
+    abort the sweep.  An internal fault (AssertionError, InternalError) is
     recorded the same way, its message prefixed with "internal error:".
     """
     if template.family is None:
@@ -476,7 +483,7 @@ def sweep(
             rows.append(
                 SweepRow(index=index, params=shown, report=None, error=str(exc))
             )
-        except AssertionError as exc:
+        except (AssertionError, InternalError) as exc:
             rows.append(
                 SweepRow(index=index, params=shown, report=None,
                          error=f"{INTERNAL_ERROR_PREFIX}{exc}")
@@ -998,7 +1005,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except (AssertionError, InternalError) as exc:
         print(f"{INTERNAL_ERROR_PREFIX}{exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

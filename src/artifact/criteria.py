@@ -36,6 +36,7 @@ from .exactalg import (
 )
 from .varcalc import (
     CurveData,
+    InvalidInputError,
     OmegaData,
     PlanarSystem,
     ResidueEntry,
@@ -750,11 +751,14 @@ def certify(
     then the criterion battery for k = 2..K, stopping at the first firing
     order (-> nonintegrable).  kappa_k is computed only when the battery
     reaches order k, so no order above the stopping order is expanded.
+    Input it cannot certify raises InvalidInputError.
     """
     if not 2 <= K <= MAX_ORDER_CAP:
-        raise ValueError(f"max order must lie in 2..{MAX_ORDER_CAP}")
+        raise InvalidInputError(f"max order must lie in 2..{MAX_ORDER_CAP}")
     if not verify_integral_curve(sys, curve):
-        raise ValueError("eta = phi(xi) is not an integral curve of the system")
+        raise InvalidInputError(
+            "eta = phi(xi) is not an integral curve of the system"
+        )
     trace: List[str] = []
     vd = kappa_coefficients(sys, curve, K)
     kappa1 = vd.kappa(1)

@@ -159,9 +159,6 @@ class BiPoly:
             [self.rows[j] * j for j in range(1, len(self.rows))], self.d
         )
 
-    def derivative_xi(self) -> "BiPoly":
-        return BiPoly([r.derivative() for r in self.rows], self.d)
-
     # -- substitution -------------------------------------------------------------------
 
     def eval_eta(self, phi: RatFunc) -> RatFunc:

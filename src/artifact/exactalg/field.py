@@ -1,9 +1,11 @@
 """Exact arithmetic in a quadratic number field Q(sqrt(d)).
 
-Every element is a + b*sqrt(d) with a, b exact rationals and d a fixed
-squarefree integer attached to the element.  d = 1 denotes plain Q (the
-surd part must be zero there).  Elements of different fields never mix,
-except that a purely rational element adapts to the other operand's field.
+Every element is (p + q*sqrt(d))/r with Python integers p, q, r in
+canonical form: r >= 1, gcd(p, q, r) = 1, and q = 0 when d = 1 (plain
+Q), so each value has one triple and equality compares triples.  d is a
+fixed squarefree integer attached to the element.  Elements of different
+fields never mix, except that a purely rational element adapts to the
+other operand's field.
 
 The module also provides the exact decision procedures the rest of the
 package leans on: "is this value rational / an integer / a natural
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -68,112 +71,116 @@ def is_rational_square(x: Union[Fraction, int, "QuadExt"]) -> bool:
 
 
 class QuadExt:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), immutable.
+    """An element (p + q*sqrt(d))/r of Q(sqrt(d)), immutable.
 
-    Arithmetic is exact (built on fractions.Fraction).  Division by zero
-    raises ZeroDivisionError.  Equality and hashing treat (a, b, d) as the
-    identity; a rational element compares equal across fields with the
-    same rational value only when the d's match or one side is d = 1 with
-    b = 0 promoted explicitly -- in practice all values in one computation
-    share a single d.
+    The rational coordinates a = p/r and b = q/r are read-only Fraction
+    properties.  Division by zero raises ZeroDivisionError.  A rational
+    element compares and hashes equal to the int or Fraction of the same
+    value, and to a rational element of another field -- in practice all
+    values in one computation share a single d.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "r", "d")
 
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __init__(self, a: Rat = 0, b: Rat = 0, d: int = 1):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", int(d))
-        if d == 1 and self.b != 0:
+    def __new__(cls, a: Rat = 0, b: Rat = 0, d: int = 1):
+        d = int(d)
+        if d == 1 and b:
             # fold sqrt(1) = 1 into the rational part rather than erroring
-            object.__setattr__(self, "a", self.a + self.b)
-            object.__setattr__(self, "b", Fraction(0))
+            a, b = Fraction(a) + Fraction(b), 0
+        if type(a) is int and type(b) is int:
+            return _make(a, b, 1, d)
+        a, b = Fraction(a), Fraction(b)
+        r = lcm(a.denominator, b.denominator)
+        return _make(a.numerator * (r // a.denominator),
+                     b.numerator * (r // b.denominator), r, d)
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("QuadExt is immutable")
 
-    # -- coercion helpers -------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.r)
 
-    def _coerce(self, other) -> "QuadExt":
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.r)
+
+    def _operand(self, other) -> Optional[Tuple[int, int, int, int]]:
+        """(p, q, r) of other and the result's d; None for a non-number."""
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return other
-            if other.b == 0:
-                return QuadExt(other.a, 0, self.d)
-            if self.b == 0:
-                return other  # self will adapt via reflected path
+            if other.d == self.d or not other.q:
+                return other.p, other.q, other.r, self.d
+            if not self.q:
+                return other.p, other.q, other.r, other.d
             raise ValueError(f"mixing fields d={self.d} and d={other.d}")
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _same_field(self, other: "QuadExt") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        raise ValueError(f"mixing fields d={self.d} and d={other.d}")
+            return other.numerator, 0, other.denominator, self.d
+        return None
 
     # -- ring operations ---------------------------------------------------
+    # + - * inline the same-field case: calling _operand costs them ~10 %
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is QuadExt and other.d == self.d:
+            p, q, r, d = other.p, other.q, other.r, self.d
+        elif (t := self._operand(other)) is None:
             return NotImplemented
-        d = self._same_field(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        else:
+            p, q, r, d = t
+        sr = self.r
+        if sr == r:
+            return _make(self.p + p, self.q + q, r, d)
+        return _make(self.p * r + p * sr, self.q * r + q * sr, sr * r, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _make(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is QuadExt and other.d == self.d:
+            p, q, r, d = other.p, other.q, other.r, self.d
+        elif (t := self._operand(other)) is None:
             return NotImplemented
-        d = self._same_field(o)
-        return QuadExt(self.a - o.a, self.b - o.b, d)
+        else:
+            p, q, r, d = t
+        sr = self.r
+        if sr == r:
+            return _make(self.p - p, self.q - q, r, d)
+        return _make(self.p * r - p * sr, self.q * r - q * sr, sr * r, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is QuadExt and other.d == self.d:
+            p, q, r, d = other.p, other.q, other.r, self.d
+        elif (t := self._operand(other)) is None:
             return NotImplemented
-        d = self._same_field(o)
-        return QuadExt(
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        else:
+            p, q, r, d = t
+        sp, sq = self.p, self.q
+        return _make(sp * p + d * sq * q, sp * q + sq * p, self.r * r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt d)")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _make(1, 0, 1, self.d) / self
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if (t := self._operand(other)) is None:
             return NotImplemented
-        return self * o.inverse()
+        p, q, r, d = t
+        if not p and not q:
+            raise ZeroDivisionError("division by zero in Q(sqrt d)")
+        # r (sp + sq sqrt d)(p - q sqrt d) / (sr (p^2 - d q^2))
+        sp, sq = self.p, self.q
+        return _make(r * (sp * p - d * sq * q), r * (sq * p - sp * q),
+                     self.r * (p * p - d * q * q), d)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
+        t = self._operand(other)
+        return NotImplemented if t is None else _make(*t) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -193,35 +200,36 @@ class QuadExt:
 
     def conjugate(self) -> "QuadExt":
         """The field conjugate a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.d)
+        return _make(self.p, -self.q, self.r, self.d)
 
     def norm(self) -> Fraction:
         """a^2 - d*b^2, the product with the conjugate (a rational)."""
-        return self.a * self.a - self.d * self.b * self.b
+        p, q = self.p, self.q
+        return Fraction(p * p - self.d * q * q, self.r * self.r)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.q:
             raise ValueError(f"{self!r} is irrational")
         return self.a
 
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return not self.q and self.r == 1
 
     def is_natural(self) -> bool:
         """Membership in {1, 2, 3, ...}."""
-        return self.is_integer() and self.a >= 1
+        return self.is_integer() and self.p >= 1
 
     def is_nonneg_integer(self) -> bool:
-        return self.is_integer() and self.a >= 0
+        return self.is_integer() and self.p >= 0
 
     def is_nonpos_integer(self) -> bool:
-        return self.is_integer() and self.a <= 0
+        return self.is_integer() and self.p <= 0
 
     def sqrt(self) -> Optional["QuadExt"]:
         """An exact square root inside Q(sqrt d), or None.
@@ -232,12 +240,13 @@ class QuadExt:
         """
         if self.is_zero():
             return QuadExt(0, 0, self.d)
-        if self.b == 0:
-            u = _fraction_sqrt(self.a)
+        a = self.a
+        if not self.q:
+            u = _fraction_sqrt(a)
             if u is not None:
                 return QuadExt(u, 0, self.d)
             if self.d != 1:
-                v = _fraction_sqrt(self.a / self.d)
+                v = _fraction_sqrt(a / self.d)
                 if v is not None:
                     return QuadExt(0, v, self.d)
             return None
@@ -245,7 +254,7 @@ class QuadExt:
         if t is None:
             return None
         for tt in (t, -t):
-            u = _fraction_sqrt((self.a + tt) / 2)
+            u = _fraction_sqrt((a + tt) / 2)
             if u is not None and u != 0:
                 v = self.b / (2 * u)
                 cand = QuadExt(u, v, self.d)
@@ -253,27 +262,24 @@ class QuadExt:
                     return cand
         return None
 
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
-
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (not self.q and self.p == other.numerator
+                    and self.r == other.denominator)
         if isinstance(other, QuadExt):
-            if self.d == other.d:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return (self.p == other.p and self.q == other.q
+                    and self.r == other.r and (self.d == other.d or not self.q))
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.q:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.p or self.q)
 
     def sort_key(self):
         return (self.a, self.b)
@@ -285,6 +291,28 @@ class QuadExt:
         from ..expr import format_scalar
 
         return format_scalar(self)
+
+
+_new = object.__new__
+_set_p, _set_q, _set_r, _set_d = (
+    getattr(QuadExt, name).__set__ for name in QuadExt.__slots__
+)
+
+
+def _make(p: int, q: int, r: int, d: int) -> QuadExt:
+    """(p + q*sqrt(d))/r in canonical form; r != 0, and q = 0 if d = 1."""
+    if r != 1:
+        if r < 0:
+            p, q, r = -p, -q, -r
+        g = gcd(p, q, r)
+        if g != 1:
+            p, q, r = p // g, q // g, r // g
+    x = _new(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_r(x, r)
+    _set_d(x, d)
+    return x
 
 
 class FieldSpec:
@@ -310,8 +338,8 @@ class FieldSpec:
                 raise ValueError("cannot combine a QuadExt value with b != 0")
             if a.d == self.d:
                 return a
-            if a.b == 0:
-                return QuadExt(a.a, 0, self.d)
+            if not a.q:
+                return _make(a.p, 0, a.r, self.d)
             raise ValueError(f"cannot place sqrt({a.d}) into Q(sqrt {self.d})")
         return QuadExt(a, b, self.d)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .field import QuadExt
+from .field import QuadExt, _make
 
 CoeffLike = Union[int, Fraction, QuadExt]
 
@@ -35,8 +35,8 @@ Degree = Union[int, float]
 
 def _coerce_coeff(c: CoeffLike, d: int) -> QuadExt:
     if isinstance(c, QuadExt):
-        if c.d == d or c.b == 0:
-            return QuadExt(c.a, c.b, d) if c.d != d else c
+        if c.d == d or not c.q:
+            return c if c.d == d else _make(c.p, 0, c.r, d)
         raise ValueError(f"coefficient in d={c.d}, polynomial in d={d}")
     return QuadExt(c, 0, d)
 
@@ -211,14 +211,6 @@ class UPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "UPoly") -> "UPoly":
-        """self(inner(xi)) by Horner over polynomials."""
-        self._check(inner)
-        acc = UPoly.zero(self.d)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     # -- division ------------------------------------------------------------------
 
     def __divmod__(self, other: "UPoly") -> Tuple["UPoly", "UPoly"]:
@@ -298,11 +290,13 @@ def poly_divrem(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
     return divmod(a, b)
 
 
-#: Primes p = 3 (mod 4) just below 2^61 for the modular coprimality test.
-#: For p = 3 (mod 4), a square x mod p has the square root x^((p+1)/4).
+#: Primes just below 2^61 for the modular coprimality test: sixteen with
+#: p = 3 (mod 4), then sixteen with p = 5 (mod 8), which split Q(sqrt -1).
 FILTER_PRIMES = tuple(2**61 - k for k in (
     1, 45, 229, 465, 829, 985, 1153, 1281,
     1425, 1489, 1525, 1533, 1609, 1621, 1669, 1741,
+    259, 283, 339, 403, 531, 579, 675, 819,
+    843, 859, 939, 1195, 1299, 1371, 1923, 2083,
 ))
 
 
@@ -310,29 +304,33 @@ FILTER_PRIMES = tuple(2**61 - k for k in (
 def split_prime(d: int) -> Optional[Tuple[int, int]]:
     """The first p in FILTER_PRIMES with (d/p) = 1, and s with s^2 = d mod p.
 
+    The root is r^((p+1)/4) for p = 3 (mod 4), and Atkin's r*c*(i - 1)
+    with c = (2r)^((p-5)/8), i = 2r*c^2 for p = 5 (mod 8), r = d mod p.
     None when no prime of the table splits in Q(sqrt d).
     """
     for p in FILTER_PRIMES:
         r = d % p
         if pow(r, (p - 1) // 2, p) == 1:
-            return p, pow(r, (p + 1) // 4, p)
+            if p % 4 == 3:
+                return p, pow(r, (p + 1) // 4, p)
+            c = pow(2 * r, (p - 5) // 8, p)
+            return p, r * c * (2 * r * c * c - 1) % p
     return None
 
 
 def _reduce_mod_p(f: UPoly, p: int, s: int) -> Optional[List[int]]:
-    """Coefficients of f mapped by a + b*sqrt(d) -> a + b*s into F_p,
-    ascending; None when p divides a denominator or the leading
+    """Coefficients of f mapped by (u + v*sqrt(d))/w -> (u + v*s)/w into
+    F_p, ascending; None when p divides a denominator w or the leading
     coefficient maps to 0 (the image would lose degree)."""
     out: List[int] = []
     for c in f.coeffs:
-        r = 0
-        for q, w in ((c.a, 1), (c.b, s)):
-            if q:
-                den = q.denominator % p
-                if den == 0:
-                    return None
-                r += q.numerator * w * pow(den, -1, p)
-        out.append(r % p)
+        x = c.p + c.q * s
+        if c.r != 1:
+            w = c.r % p
+            if w == 0:
+                return None
+            x *= pow(w, -1, p)
+        out.append(x % p)
     return out if out[-1] else None
 
 

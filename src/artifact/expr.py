@@ -287,44 +287,44 @@ def parse_ratfunc(text: str, field: FieldSpec) -> RatFunc:
 # -- printing ---------------------------------------------------------------
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
+def _format_rational(c: QuadExt) -> str:
+    """The text of a rational element, read off its triple."""
+    return str(c.p) if c.r == 1 else f"{c.p}/{c.r}"
+
+
+def _format_surd(a: Fraction, b: Fraction) -> str:
+    """The text of a + b*rt for b != 0."""
+    if a == 0:
+        return "rt" if b == 1 else ("-rt" if b == -1 else f"{b}*rt")
+    if b > 0:
+        tail = "rt" if b == 1 else f"{b}*rt"
+        return f"{a} + {tail}"
+    tail = "rt" if b == -1 else f"{-b}*rt"
+    return f"{a} - {tail}"
 
 
 def format_scalar(c: QuadExt) -> str:
     """Canonical text for a field element; reparses to the same value."""
-    if c.b == 0:
-        return _format_fraction(c.a)
-    surd = "rt" if c.b == 1 else ("-rt" if c.b == -1 else f"{c.b}*rt")
-    if c.a == 0:
-        return surd
-    if c.b > 0:
-        tail = "rt" if c.b == 1 else f"{c.b}*rt"
-        return f"{c.a} + {tail}"
-    tail = "rt" if c.b == -1 else f"{-c.b}*rt"
-    return f"{c.a} - {tail}"
-
-
-def _scalar_is_compound(c: QuadExt) -> bool:
-    return c.a != 0 and c.b != 0
+    return _format_surd(c.a, c.b) if c.q else _format_rational(c)
 
 
 def _term_text(c: QuadExt, mono: str) -> Tuple[bool, str]:
     """(is_negative, magnitude_text) for one monomial c*mono."""
-    if _scalar_is_compound(c):
-        text = f"({format_scalar(c)})"
-        return False, f"{text}*{mono}" if mono else text
-    if c.b == 0:
-        negative = c.a < 0
-        mag = -c.a if negative else c.a
+    if not c.q:
+        negative = c.p < 0
+        mag = -c if negative else c
         if not mono:
-            return negative, _format_fraction(mag)
+            return negative, _format_rational(mag)
         if mag == 1:
             return negative, mono
-        return negative, f"{_format_fraction(mag)}*{mono}"
-    negative = c.b < 0
-    mag = -c.b if negative else c.b
-    coeff = "rt" if mag == 1 else f"{_format_fraction(mag)}*rt"
+        return negative, f"{_format_rational(mag)}*{mono}"
+    b = c.b
+    if c.p:
+        text = f"({_format_surd(c.a, b)})"
+        return False, f"{text}*{mono}" if mono else text
+    negative = b < 0
+    mag = -b if negative else b
+    coeff = "rt" if mag == 1 else f"{mag}*rt"
     if not mono:
         return negative, coeff
     return negative, f"{coeff}*{mono}"

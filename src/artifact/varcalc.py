@@ -32,7 +32,12 @@ from .exactalg import (
 )
 
 
-class CurveInSingularLocusError(ValueError):
+class InvalidInputError(ValueError):
+    """An order bound out of range or a curve that is not an integral
+    curve; every other ValueError of the pipeline is an internal fault."""
+
+
+class CurveInSingularLocusError(InvalidInputError):
     """The curve lies inside P = 0, so the foliation is undefined on it."""
 
 
@@ -122,7 +127,7 @@ def kappa_coefficients(
     called.
     """
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise InvalidInputError("K must be >= 1")
     phi = curve.phi
     p_series = sys.P.shift_eta(phi, min(K, sys.P.degree_eta))
     q_series = sys.Q.shift_eta(phi, min(K, max(sys.Q.degree_eta, 0)))
@@ -133,7 +138,7 @@ def kappa_coefficients(
         )
     r0 = q_series[0] / p0
     if r0 != phi.derivative():
-        raise ValueError(
+        raise InvalidInputError(
             "curve is not an integral curve: [w^0] of Q/P differs from phi'"
         )
     return VariationalData(

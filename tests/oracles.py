@@ -6,13 +6,17 @@
 * ``auxiliary_polynomial`` builds the auxiliary polynomial whose double
   roots the simplicity profile predicts in closed form;
 * ``kappa_by_differentiation`` computes kappa_k by repeated symbolic
-  differentiation of Q/P instead of the series recurrence.
+  differentiation of Q/P instead of the series recurrence;
+* ``FractionPairQuadExt`` is field arithmetic on a pair of Fractions
+  a + b*sqrt(d), the reference for the integer-triple ``QuadExt``.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple, Union
 
 from artifact.criteria import RootPartition
 from artifact.exactalg import QuadExt, RatFunc, UPoly
+from artifact.exactalg.field import _fraction_sqrt
 from artifact.varcalc import CurveData, CurveInSingularLocusError, PlanarSystem
 
 
@@ -155,3 +159,126 @@ def kappa_by_differentiation(
             )
         out.append(num.eval_eta(phi) / den_val)
     return tuple(out)
+
+
+class FractionPairQuadExt:
+    """a + b*sqrt(d) with a, b Fractions: the field arithmetic of
+    ``QuadExt`` written out on rational coordinates, one Fraction
+    operation per term."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Union[int, Fraction] = 0,
+                 b: Union[int, Fraction] = 0, d: int = 1):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), int(d)
+        if d == 1 and self.b != 0:
+            self.a, self.b = self.a + self.b, Fraction(0)
+
+    def _coerce(self, other) -> "FractionPairQuadExt":
+        if isinstance(other, FractionPairQuadExt):
+            if other.d == self.d:
+                return other
+            if other.b == 0:
+                return FractionPairQuadExt(other.a, 0, self.d)
+            if self.b == 0:
+                return other
+            raise ValueError(f"mixing fields d={self.d} and d={other.d}")
+        return FractionPairQuadExt(other, 0, self.d)
+
+    def _same_field(self, other: "FractionPairQuadExt") -> int:
+        if self.d == other.d:
+            return self.d
+        if self.b == 0:
+            return other.d
+        if other.b == 0:
+            return self.d
+        raise ValueError(f"mixing fields d={self.d} and d={other.d}")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionPairQuadExt(self.a + o.a, self.b + o.b,
+                                   self._same_field(o))
+
+    def __neg__(self):
+        return FractionPairQuadExt(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FractionPairQuadExt(self.a - o.a, self.b - o.b,
+                                   self._same_field(o))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = self._same_field(o)
+        return FractionPairQuadExt(
+            self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a, d
+        )
+
+    def inverse(self) -> "FractionPairQuadExt":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt d)")
+        return FractionPairQuadExt(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.d * self.b * self.b
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def is_integer(self) -> bool:
+        return self.b == 0 and self.a.denominator == 1
+
+    def is_natural(self) -> bool:
+        return self.is_integer() and self.a >= 1
+
+    def is_nonneg_integer(self) -> bool:
+        return self.is_integer() and self.a >= 0
+
+    def is_nonpos_integer(self) -> bool:
+        return self.is_integer() and self.a <= 0
+
+    def sqrt(self) -> Optional["FractionPairQuadExt"]:
+        """A square root inside Q(sqrt d), or None (see QuadExt.sqrt)."""
+        if self.is_zero():
+            return FractionPairQuadExt(0, 0, self.d)
+        if self.b == 0:
+            u = _fraction_sqrt(self.a)
+            if u is not None:
+                return FractionPairQuadExt(u, 0, self.d)
+            if self.d != 1:
+                v = _fraction_sqrt(self.a / self.d)
+                if v is not None:
+                    return FractionPairQuadExt(0, v, self.d)
+            return None
+        t = _fraction_sqrt(self.norm())
+        if t is None:
+            return None
+        for tt in (t, -t):
+            u = _fraction_sqrt((self.a + tt) / 2)
+            if u is not None and u != 0:
+                cand = FractionPairQuadExt(u, self.b / (2 * u), self.d)
+                if cand * cand == self:
+                    return cand
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if self.d == other.d:
+            return self.a == other.a and self.b == other.b
+        return self.b == 0 and other.b == 0 and self.a == other.a
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def sort_key(self):
+        return (self.a, self.b)

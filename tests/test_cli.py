@@ -11,6 +11,7 @@ from artifact.cli import (
     EXIT_INTERNAL,
     EXIT_NONINTEGRABLE,
     EXIT_USAGE,
+    InternalError,
     SystemSpec,
     UsageError,
     load_config,
@@ -21,6 +22,7 @@ from artifact.cli import (
 )
 from artifact.exactalg import FieldSpec
 from artifact.unfoldings import FoldHopfParams
+from artifact.varcalc import CurveInSingularLocusError, InvalidInputError
 
 
 FIVE_KEYS = ["version", "status", "h1", "orders", "input_echo"]
@@ -370,6 +372,49 @@ def test_main_internal_error(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def _break_partition_roots(monkeypatch, exc):
+    from artifact import criteria
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(criteria, "partition_roots", broken)
+
+
+FOLD_HOPF_ARGV = ["fold-hopf", "--mu", "-1", "--nu", "1", "--alpha", "rt",
+                  "--d", "2"]
+
+
+def test_input_rejections_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # a curve that is not integral, straight from a config file
+    path = write(tmp_path, "c.ini", INLINE_INI.replace("phi = 0", "phi = xi"))
+    assert main(["check", path]) == EXIT_USAGE
+    assert "not an integral curve" in capsys.readouterr().err
+    # the rejection subclass raised from inside the pipeline
+    _break_partition_roots(
+        monkeypatch, CurveInSingularLocusError("P vanishes on the curve"))
+    with pytest.raises(UsageError):
+        run_check(load_config(write(tmp_path, "a.ini", BUILTIN_INI)))
+    assert main(FOLD_HOPF_ARGV) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: P vanishes on the curve\n"
+
+
+def test_pipeline_value_errors_are_internal(tmp_path, monkeypatch, capsys):
+    _break_partition_roots(monkeypatch, ValueError("division is not exact"))
+    with pytest.raises(InternalError):
+        run_check(load_config(write(tmp_path, "a.ini", BUILTIN_INI)))
+    assert main(FOLD_HOPF_ARGV) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: division is not exact\n"
+    assert captured.out == ""
+    template, axes = load_sweep_config(write(tmp_path, "s.ini", SWEEP_INI))
+    rows, _ = sweep(template, axes)
+    # the tuples whose H1 fails stop before partition_roots
+    errors = {r.error for r in rows if r.report is None}
+    assert errors == {"internal error: division is not exact"}
+    assert main(["sweep", write(tmp_path, "s.ini", SWEEP_INI)]) == EXIT_INTERNAL
+
+
 def test_run_check_builds_the_system_once(tmp_path, monkeypatch):
     spec = load_config(write(tmp_path, "a.ini", BUILTIN_INI))
     expected = run_check(spec).to_json()
@@ -415,7 +460,7 @@ def _patch_certify(monkeypatch, errors):
     monkeypatch.setattr(cli, "certify", patched)
 
 
-USAGE = ValueError("division is not exact")
+USAGE = InvalidInputError("eta = phi(xi) is not an integral curve of the system")
 INTERNAL = AssertionError("ODE solver produced a non-solution")
 
 
