@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .field import QuadExt, _make
+from .field import QuadExt
 
 CoeffLike = Union[int, Fraction, QuadExt]
 
@@ -35,9 +35,7 @@ Degree = Union[int, float]
 
 def _coerce_coeff(c: CoeffLike, d: int) -> QuadExt:
     if isinstance(c, QuadExt):
-        if c.d == d or not c.q:
-            return c if c.d == d else _make(c.p, 0, c.r, d)
-        raise ValueError(f"coefficient in d={c.d}, polynomial in d={d}")
+        return c.in_field(d)
     return QuadExt(c, 0, d)
 
 
@@ -290,13 +288,11 @@ def poly_divrem(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
     return divmod(a, b)
 
 
-#: Primes just below 2^61 for the modular coprimality test: sixteen with
-#: p = 3 (mod 4), then sixteen with p = 5 (mod 8), which split Q(sqrt -1).
+#: Primes p = 3 (mod 4) just below 2^61 for the modular coprimality test.
+#: For p = 3 (mod 4), a square x mod p has the square root x^((p+1)/4).
 FILTER_PRIMES = tuple(2**61 - k for k in (
     1, 45, 229, 465, 829, 985, 1153, 1281,
     1425, 1489, 1525, 1533, 1609, 1621, 1669, 1741,
-    259, 283, 339, 403, 531, 579, 675, 819,
-    843, 859, 939, 1195, 1299, 1371, 1923, 2083,
 ))
 
 
@@ -304,17 +300,12 @@ FILTER_PRIMES = tuple(2**61 - k for k in (
 def split_prime(d: int) -> Optional[Tuple[int, int]]:
     """The first p in FILTER_PRIMES with (d/p) = 1, and s with s^2 = d mod p.
 
-    The root is r^((p+1)/4) for p = 3 (mod 4), and Atkin's r*c*(i - 1)
-    with c = (2r)^((p-5)/8), i = 2r*c^2 for p = 5 (mod 8), r = d mod p.
     None when no prime of the table splits in Q(sqrt d).
     """
     for p in FILTER_PRIMES:
         r = d % p
         if pow(r, (p - 1) // 2, p) == 1:
-            if p % 4 == 3:
-                return p, pow(r, (p + 1) // 4, p)
-            c = pow(2 * r, (p - 5) // 8, p)
-            return p, r * c * (2 * r * c * c - 1) % p
+            return p, pow(r, (p + 1) // 4, p)
     return None
 
 
