@@ -52,6 +52,9 @@ _SIX_TERM = (
     " - 3*xi^2*eta - 3*eta + 1/2*xi^2 - 1/2*xi + 3/2",
     "(-1 + 2*rt)*xi*eta^2 + 1/2*eta^2 - 2*xi*eta + (-2 + rt)*eta",
 )
+# Its kappa_k denominators carry the irreducible class xi^4 + xi + 1, so
+# this request runs the general-purpose factorizer.
+_QUARTIC = ("xi^4 + xi + 1 + eta^2", "eta*(rt*xi + 1) + eta^2")
 
 
 def _fold_hopf(field, args, K) -> SystemSpec:
@@ -108,6 +111,11 @@ def corpus() -> Dict[str, SystemSpec]:
     specs["inline_six_term_k6"] = SystemSpec(
         field=F, max_order=6,
         P=parse_bipoly(_SIX_TERM[0], F), Q=parse_bipoly(_SIX_TERM[1], F),
+        phi=RatFunc.zero(F.d),
+    )
+    specs["inline_quartic_k25"] = SystemSpec(
+        field=F, max_order=25,
+        P=parse_bipoly(_QUARTIC[0], F), Q=parse_bipoly(_QUARTIC[1], F),
         phi=RatFunc.zero(F.d),
     )
     return specs
