@@ -54,7 +54,7 @@ def main() -> None:
 
     k = 3
     kk = vd.kappa(k)
-    part = partition_roots(k1, kk)
+    part = partition_roots(k1, kk, om.classes)
     print(f"root partition at k = {k}:")
     for cls in part.shared:
         print(

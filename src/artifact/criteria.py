@@ -21,16 +21,17 @@ Everything is exact; no criterion is ever decided numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactalg import (
+    FactorClass,
     QuadExt,
     RatFunc,
     UPoly,
     coprime,
     eval_mod,
-    factor_irreducible,
     inverse_mod,
+    pole_classes,
     poly_divrem,
     squarefree_part,
 )
@@ -98,22 +99,24 @@ class RootPartition:
     radk: UPoly
 
 
-def partition_roots(kappa1: RatFunc, kappak: RatFunc) -> RootPartition:
+def partition_roots(
+    kappa1: RatFunc, kappak: RatFunc, classes1: Sequence[FactorClass]
+) -> RootPartition:
     """Partition the kappa_k denominator against the kappa_1 denominator.
 
     Classes whose multiplicity does not change are absorbed and omitted.
     Root counts n1, nk count distinct roots, i.e. sum the class degrees.
+    classes1, the factorization of the kappa_1 denominator, is reused
+    and tried on the kappa_k denominator before the general factorizer.
     """
     if kappak.is_zero():
         raise SkipOrder("kappa_k vanishes identically; skip this order")
     d = kappa1.d
     k1d, kkd = kappa1.den, kappak.den
-    mult1: Dict[UPoly, int] = {}
-    multk: Dict[UPoly, int] = {}
-    if k1d.degree >= 1:
-        mult1 = {c.factor: c.multiplicity for c in factor_irreducible(k1d)}
-    if kkd.degree >= 1:
-        multk = {c.factor: c.multiplicity for c in factor_irreducible(kkd)}
+    mult1: Dict[UPoly, int] = {c.factor: c.multiplicity for c in classes1}
+    multk: Dict[UPoly, int] = {
+        c.factor: c.multiplicity for c in pole_classes(kappak, list(mult1))
+    }
     shared: List[SharedClass] = []
     new: List[NewClass] = []
     for p in sorted(mult1, key=lambda q: q.sort_key()):
@@ -413,9 +416,9 @@ def polynomial_solution(
 
 
 def _coprime_solution(
-    A: UPoly, rho: UPoly, rhs: UPoly, marked: UPoly
+    A: UPoly, rho: UPoly, rhs: UPoly, part: RootPartition
 ) -> Optional[UPoly]:
-    """A polynomial solution coprime to `marked`, or None.
+    """A polynomial solution coprime to the classes of `part`, or None.
 
     The solution set is an affine family z = particular + t * kernel.
     A marked class p rules out the whole family iff p divides both the
@@ -425,12 +428,12 @@ def _coprime_solution(
     particular, kernel = _ode_solutions(A, rho, rhs)
     if particular is None:
         return None
+    marked = part.rad1 * part.radk
     if marked.degree < 1:
         return particular
     if kernel is None:
         return particular if coprime(particular, marked) else None
-    for cls in factor_irreducible(marked):
-        p = cls.factor
+    for p in (c.factor for c in part.shared + part.new):
         if (particular % p).is_zero() and (kernel % p).is_zero():
             return None
     bound = int(marked.degree) + 2
@@ -471,35 +474,6 @@ def _assemble_witness(
     if not z.is_constant():
         acc = acc + RatFunc(z.derivative(), z)
     return H2FailureWitness(k=k, solution=z, theta_log_derivative=acc)
-
-
-def h2_failure_witness(
-    k: int,
-    kappa1: RatFunc,
-    kappak: RatFunc,
-    part: RootPartition,
-    prof: SimplicityProfile,
-) -> Optional[H2FailureWitness]:
-    """Try to refute H2 at order k by a coprime polynomial solution.
-
-    Applicable only when every new class has exponent >= 2 and every
-    shared class stays simple for multipliers > 1; otherwise None.
-    """
-    if kappa1.num.is_zero() or kappak.num.is_zero():
-        return None
-    if part.rad1.degree >= 1 and not coprime(kappak.num, part.rad1):
-        return None
-    if any(c.ak == 1 for c in part.new):
-        return None
-    if not prof.all_simple_whenever_bj_gt_1:
-        return None
-    A = kappa1.den * part.radk
-    rho = build_rho(kappa1, part, k)
-    marked = part.rad1 * part.radk
-    z = _coprime_solution(A, rho, kappak.num, marked)
-    if z is None:
-        return None
-    return _assemble_witness(k, kappa1, part, z)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +645,7 @@ def _run_ode_test(
     as a witness.
     """
     A = kappa1.den * part.radk
-    marked = part.rad1 * part.radk
-    z = _coprime_solution(A, rho, kappak.num, marked)
+    z = _coprime_solution(A, rho, kappak.num, part)
     if z is None:
         return "iii", None
     return None, _assemble_witness(k, kappa1, part, z)
@@ -751,6 +724,9 @@ def certify(
     then the criterion battery for k = 2..K, stopping at the first firing
     order (-> nonintegrable).  kappa_k is computed only when the battery
     reaches order k, so no order above the stopping order is expanded.
+    kappa_1's denominator is factored once, in omega_decompose; every
+    partition reuses its classes and tries them on the kappa_k
+    denominator before the general factorizer.
     Input it cannot certify raises InvalidInputError.
     """
     if not 2 <= K <= MAX_ORDER_CAP:
@@ -810,7 +786,7 @@ def certify(
     for k in range(2, K + 1):
         kappak = vd.kappa(k)
         try:
-            part = partition_roots(kappa1, kappak)
+            part = partition_roots(kappa1, kappak, om.classes)
         except SkipOrder:
             outcomes.append(_skipped_outcome(k))
             trace.append(f"k={k}: kappa_k = 0, skipped")

@@ -3,11 +3,14 @@ and full partial-fraction decomposition.
 
 Factorization is staged for speed: powers of xi are stripped first, Yun's
 squarefree decomposition separates multiplicities, linear parts are
-immediate, quadratics split exactly when their discriminant is a square
-in the field, and only squarefree parts of degree >= 3 fall back to a
-general-purpose factorizer (imported lazily).  Evaluations "at a root"
-are carried out in the quotient ring K[xi]/(p) so that conjugate roots
-are handled as one class and no splitting field is ever constructed.
+immediate, and quadratics split exactly when their discriminant is a
+square in the field.  A squarefree part of degree >= 3 is divided by the
+irreducible factors the caller already knows (the pole classes of
+kappa_1, say), and only a cofactor of degree >= 3 coprime to all of them
+falls back to a general-purpose factorizer (imported lazily).
+Evaluations "at a root" are carried out in the quotient ring K[xi]/(p)
+so that conjugate roots are handled as one class and no splitting field
+is ever constructed.
 """
 
 from __future__ import annotations
@@ -137,8 +140,9 @@ def _split_with_sympy(g: UPoly) -> List[UPoly]:
     return out
 
 
-def _split_squarefree(g: UPoly) -> List[UPoly]:
-    """Monic irreducible factors of a monic squarefree polynomial."""
+def _split_squarefree(g: UPoly, known: Sequence[UPoly] = ()) -> List[UPoly]:
+    """Monic irreducible factors of a monic squarefree polynomial; from
+    degree 3 on, a known factor dividing g is split off before sympy."""
     deg = g.degree
     if deg <= 0:
         return []
@@ -146,15 +150,22 @@ def _split_squarefree(g: UPoly) -> List[UPoly]:
         return [g]
     if deg == 2:
         return _split_quadratic(g)
+    for p in known:
+        q, r = divmod(g, p)
+        if r.is_zero():
+            return [p] + _split_squarefree(q, known)
     return _split_with_sympy(g)
 
 
-def factor_irreducible(a: UPoly) -> List[FactorClass]:
+def factor_irreducible(
+    a: UPoly, known: Sequence[UPoly] = ()
+) -> List[FactorClass]:
     """Monic irreducible factorization over Q(sqrt d).
 
     a = lc(a) * prod p_c^{m_c} with each p_c monic irreducible over the
     field and the classes pairwise distinct, sorted canonically.
-    Constant or zero input is rejected.
+    Constant or zero input is rejected.  `known` monic irreducibles are
+    tried as divisors before sympy; the result does not depend on them.
     """
     if a.is_zero() or a.degree < 1:
         raise ValueError("factorization requires degree >= 1")
@@ -164,10 +175,17 @@ def factor_irreducible(a: UPoly) -> List[FactorClass]:
         classes.append(FactorClass(UPoly.x(a.d), v))
     if rest.degree >= 1:
         for part, mult in squarefree_decompose(rest):
-            for p in _split_squarefree(part):
+            for p in _split_squarefree(part, known):
                 classes.append(FactorClass(p, mult))
     classes.sort(key=lambda c: c.factor.sort_key())
     return classes
+
+
+def pole_classes(
+    f: RatFunc, known: Sequence[UPoly] = ()
+) -> List[FactorClass]:
+    """The irreducible classes of f's denominator; none for a polynomial."""
+    return factor_irreducible(f.den, known) if f.den.degree >= 1 else []
 
 
 def eval_mod(a: UPoly, p: UPoly) -> UPoly:

@@ -182,13 +182,14 @@ class OmegaData:
     E carries the polynomial part and all pole orders >= 2 of the
     antiderivative of kappa_1 (zero-constant normalization); the residues
     carry the order-1 pole data.  regular_at_infinity records
-    deg kappa_1_den > deg kappa_1_num.
+    deg kappa_1_den > deg kappa_1_num; classes factors kappa_1_den.
     """
 
     kappa1: RatFunc
     exp_part: RatFunc
     residues: Tuple[ResidueEntry, ...]
     regular_at_infinity: bool
+    classes: Tuple[FactorClass, ...]
 
     def reconstruct(self) -> RatFunc:
         """E' + sum_c (r_c * p_c' mod p_c)/p_c; must equal kappa_1."""
@@ -220,9 +221,12 @@ def omega_decompose(kappa1: RatFunc) -> OmegaData:
     for term in pf.terms:
         by_class.setdefault(term.factor, {})[term.order] = term.numerator
     residues: List[ResidueEntry] = []
+    classes: List[FactorClass] = []
     for p in sorted(by_class, key=lambda q: q.sort_key()):
         digits = by_class[p]
+        # kappa_1 is reduced, so every class has a term of top order m
         m = max(digits)
+        classes.append(FactorClass(p, m))
         dp = p.derivative()
         _, _, t = poly_xgcd(p, dp)  # t * p' = 1 mod p
         zero = UPoly.zero(d)
@@ -235,12 +239,11 @@ def omega_decompose(kappa1: RatFunc) -> OmegaData:
             current = u + v.derivative().scale(inv) + digits.get(i - 1, zero)
         if not current.is_zero():
             residue = eval_mod(current * t, p)
-            residues.append(
-                ResidueEntry(cls=FactorClass(p, m), residue=residue)
-            )
+            residues.append(ResidueEntry(cls=classes[-1], residue=residue))
     return OmegaData(
         kappa1=kappa1,
         exp_part=exp_part,
         residues=tuple(residues),
         regular_at_infinity=regular,
+        classes=tuple(classes),
     )

@@ -27,6 +27,7 @@ from artifact.exactalg import (
     factor_irreducible,
     multiplicity,
     partial_fractions,
+    pole_classes,
     poly_divrem,
 )
 from artifact.unfoldings import (
@@ -219,7 +220,7 @@ def test_gate_5_rho_division_closed_forms():
             for j in (2, 3):
                 k = 2 * j - 1
                 kk = vd.kappa(k)
-                part = partition_roots(k1, kk)
+                part = partition_roots(k1, kk, pole_classes(k1))
                 rho = build_rho(k1, part, k)
                 rho_bar, rho_tilde, n_bar = divide_by_rho(kk.num, rho)
                 assert n_bar == 0
@@ -242,7 +243,7 @@ def test_gate_5_rho_division_closed_forms():
             system, curve = double_hopf_system(params, chart=1)
             vd = kappa_coefficients(system, curve, 3)
             k1, k3 = vd.kappa(1), vd.kappa(3)
-            part = partition_roots(k1, k3)
+            part = partition_roots(k1, k3, pole_classes(k1))
             assert not part.shared and not part.new
             rho = build_rho(k1, part, 3)
             assert rho == k1.num * 2
@@ -386,7 +387,7 @@ def test_gate_8_property_and_numerical_oracles():
         vd = kappa_coefficients(system, curve, 5)
         k1 = vd.kappa(1)
         for k in (3, 5):
-            part = partition_roots(k1, vd.kappa(k))
+            part = partition_roots(k1, vd.kappa(k), pole_classes(k1))
             prof = simplicity_profile(k1, part, k)
             for idx, cls in enumerate(prof.classes):
                 for b in range(1, 6):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from artifact.exactalg import (
+    FieldSpec,
     RatFunc,
     UPoly,
     constant_eval_mod,
@@ -18,7 +19,8 @@ from artifact.exactalg import (
     poly_gcd,
 )
 
-from conftest import rand_ratfunc, rand_upoly
+from artifact.exactalg import factorization
+from conftest import rand_ratfunc, rand_scalar, rand_upoly
 
 
 def xp(*coeffs, d=2):
@@ -85,6 +87,50 @@ def test_factor_quartic_random_reconstruction(F2):
         assert rebuild(classes, f.coeff(f.degree), 2) == f
         for cls in classes:
             assert cls.factor.coeff(cls.factor.degree) == F2(1)
+
+
+def _irreducible_pool(rng, field):
+    """Distinct monic irreducibles of degree 1..4, split out of random
+    monic polynomials by the plain factorizer."""
+    pool = []
+    for degree in (1, 1, 2, 2, 3, 3, 4, 4):
+        coeffs = [rand_scalar(rng, field, span=3) for _ in range(degree)]
+        for cls in factor_irreducible(UPoly(coeffs + [field(1)], field.d)):
+            if cls.factor not in pool:
+                pool.append(cls.factor)
+    return pool
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, -3])
+def test_factor_with_known_classes_matches_plain(d, monkeypatch):
+    """Known classes change how a factorization is found, never what it
+    is: a random subset of the true factors plus unrelated irreducibles
+    gives exactly the plain result, with fewer sympy calls."""
+    field = FieldSpec(d)
+    rng = random.Random(70 + d)
+    pool = _irreducible_pool(rng, field)
+    calls = []
+    split = factorization._split_with_sympy
+    monkeypatch.setattr(
+        factorization, "_split_with_sympy",
+        lambda g: calls.append(g) or split(g),
+    )
+    plain_calls = known_calls = 0
+    for _ in range(4):
+        true = rng.sample(pool, 3)
+        f = UPoly.constant(rand_scalar(rng, field, nonzero=True), d)
+        for p in true:
+            f = f * p ** rng.choice((1, 1, 2, 3))
+        unrelated = [p for p in pool if p not in true]
+        known = rng.sample(true, rng.randint(1, 3)) + rng.sample(unrelated, 2)
+        rng.shuffle(known)
+        start = len(calls)
+        plain = factor_irreducible(f)
+        middle = len(calls)
+        assert factor_irreducible(f, known) == plain
+        plain_calls += middle - start
+        known_calls += len(calls) - middle
+    assert known_calls < plain_calls
 
 
 def test_factor_rejects_constants(F2):

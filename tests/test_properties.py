@@ -17,6 +17,7 @@ from artifact.exactalg import (
     UPoly,
     factor_irreducible,
     partial_fractions,
+    pole_classes,
     poly_divrem,
     poly_gcd,
     squarefree_decompose,
@@ -207,7 +208,7 @@ def test_partition_accounts_for_every_class(spec, num1, numk, k):
     k1 = RatFunc(num1, den1)
     kk = RatFunc(numk, denk)
     assume(not kk.is_zero())
-    part = partition_roots(k1, kk)
+    part = partition_roots(k1, kk, pole_classes(k1))
     n1 = sum(c.factor.degree for c in part.shared if c.b1 >= 1)
     assert part.n1 <= k1.den.degree
     for c in part.shared:

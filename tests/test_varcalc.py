@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from artifact.exactalg import BiPoly, RatFunc, UPoly, eval_mod
+from artifact.exactalg import BiPoly, RatFunc, UPoly, eval_mod, pole_classes
 from artifact.expr import parse_bipoly, parse_ratfunc
 from artifact.unfoldings import (
     DoubleHopfParams,
@@ -144,6 +144,7 @@ def test_omega_reconstruct_identity_random(F2):
         f = rand_ratfunc(rng, F2, max_degree=4)
         om = omega_decompose(f)
         assert om.reconstruct() == f
+        assert list(om.classes) == pole_classes(f)
         checked += 1
     assert checked == 40
 
