@@ -30,6 +30,7 @@ from artifact.unfoldings import (
     DoubleHopfParams,
     FoldHopfParams,
     double_hopf_system,
+    fold_hopf_system,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,6 +97,47 @@ def _sheared(K) -> SystemSpec:
     return SystemSpec(field=F, max_order=K, P=P, Q=Q, phi=phi)
 
 
+_SHEARED_FH_P = (
+    "eta^2*xi^4 + 8*eta^2*xi^3 + 24*eta^2*xi^2 + 32*eta^2*xi + 16*eta^2"
+    " - 2*eta*xi^3 - 12*eta*xi^2 - 24*eta*xi - 16*eta + xi^6 + 8*xi^5"
+    " + 23*xi^4 + 24*xi^3 - 7*xi^2 - 28*xi - 12"
+)
+
+
+def _fold_hopf_sheared(K) -> SystemSpec:
+    """fh(-1, 1, rt), s = +1, in the coordinates (xi, eta + 1/(xi + 2)).
+
+    With v = xi + 2 and phi = 1/v the system reads
+    P~ = v^4 * P(xi, eta~ - phi) and
+    Q~ = v^4 * (Q(xi, eta~ - phi) + phi' * P(xi, eta~ - phi)); the factor
+    v^4 clears every denominator and cancels in Q~/P~.  The curve is
+    eta~ = phi, whose denominator v is not constant; Q~/P~ only gains
+    phi', so every kappa_k, and the verdict, is that of the unsheared
+    system.
+    """
+    params = FoldHopfParams(F, F(-1), F(1), RT, s=1)
+    system, _ = fold_hopf_system(params)
+    d = F.d
+    v = UPoly([2, 1], d)
+    # v * (eta~ - phi) = v * eta~ - 1
+    shift = BiPoly.from_xi_poly(v) * BiPoly.var_eta(d) - 1
+
+    def substitute(p: BiPoly, weight: int) -> BiPoly:
+        """v^weight * p(xi, eta~ - phi), for deg_eta p <= weight."""
+        out = BiPoly.zero(d)
+        for j in range(len(p.rows)):
+            out = out + BiPoly.from_xi_poly(p.row(j) * v ** (weight - j)) * (
+                shift**j
+            )
+        return out
+
+    # v^4 * phi' * P(xi, eta~ - phi) = -v^2 * P(xi, eta~ - phi)
+    P = substitute(system.P, 4)
+    Q = substitute(system.Q, 4) - substitute(system.P, 2)
+    phi = RatFunc(UPoly.one(d), v)
+    return SystemSpec(field=F, max_order=K, P=P, Q=Q, phi=phi)
+
+
 def corpus() -> Dict[str, SystemSpec]:
     """Label -> request of every certificate in the corpus."""
     specs: Dict[str, SystemSpec] = {}
@@ -108,6 +150,7 @@ def corpus() -> Dict[str, SystemSpec]:
         Q1, (Q1(1), Q1(1), Q1(Fraction(1, 2)), 1), 9
     )
     specs["dh1_sheared_k9"] = _sheared(9)
+    specs["fh_m1_1_rt_s+1_sheared_k9"] = _fold_hopf_sheared(9)
     specs["inline_six_term_k6"] = SystemSpec(
         field=F, max_order=6,
         P=parse_bipoly(_SIX_TERM[0], F), Q=parse_bipoly(_SIX_TERM[1], F),
@@ -129,6 +172,16 @@ def report_text(spec: SystemSpec) -> str:
 def test_certificate_matches_golden(label):
     expected = (GOLDEN / f"{label}.json").read_text()
     assert report_text(corpus()[label]) == expected
+
+
+def test_sheared_fold_hopf_keeps_the_verdict():
+    sheared = _fold_hopf_sheared(9)
+    assert sheared.P == parse_bipoly(_SHEARED_FH_P, F)
+    verdicts = []
+    for spec in (sheared, corpus()["fh_m1_1_rt_s+1_k9"]):
+        cert = run_check(spec).certificate
+        verdicts.append((cert.status, cert.fired_k, cert.fired_criterion))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_corpus_has_no_stray_files():
