@@ -40,7 +40,7 @@ def main() -> None:
     print()
 
     k1 = vd.kappa(1)
-    om = omega_decompose(k1)
+    om = omega_decompose(k1, vd.classes(1))
     print("Omega = exp(int kappa_1) decomposition:")
     print(f"  exponential part E = {format_ratfunc(om.exp_part)}")
     for entry in om.residues:
@@ -54,7 +54,7 @@ def main() -> None:
 
     k = 3
     kk = vd.kappa(k)
-    part = partition_roots(k1, kk, om.classes)
+    part = partition_roots(k1, kk, vd.classes(1), vd.classes(k))
     print(f"root partition at k = {k}:")
     for cls in part.shared:
         print(

@@ -20,7 +20,7 @@ Everything is exact; no criterion is ever decided numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactalg import (
@@ -31,7 +31,6 @@ from .exactalg import (
     coprime,
     eval_mod,
     inverse_mod,
-    pole_classes,
     poly_divrem,
     squarefree_part,
 )
@@ -44,7 +43,6 @@ from .varcalc import (
     VariationalData,
     kappa_coefficients,
     omega_decompose,
-    verify_integral_curve,
 )
 
 MAX_ORDER_CAP = 25
@@ -100,23 +98,25 @@ class RootPartition:
 
 
 def partition_roots(
-    kappa1: RatFunc, kappak: RatFunc, classes1: Sequence[FactorClass]
+    kappa1: RatFunc,
+    kappak: RatFunc,
+    classes1: Sequence[FactorClass],
+    classesk: Sequence[FactorClass],
 ) -> RootPartition:
     """Partition the kappa_k denominator against the kappa_1 denominator.
 
     Classes whose multiplicity does not change are absorbed and omitted.
     Root counts n1, nk count distinct roots, i.e. sum the class degrees.
-    classes1, the factorization of the kappa_1 denominator, is reused
-    and tried on the kappa_k denominator before the general factorizer.
+    classes1 and classesk are the irreducible factorizations of the two
+    denominators (VariationalData.classes); the partition is checked to
+    reconstruct the kappa_k denominator from the kappa_1 denominator.
     """
     if kappak.is_zero():
         raise SkipOrder("kappa_k vanishes identically; skip this order")
     d = kappa1.d
     k1d, kkd = kappa1.den, kappak.den
     mult1: Dict[UPoly, int] = {c.factor: c.multiplicity for c in classes1}
-    multk: Dict[UPoly, int] = {
-        c.factor: c.multiplicity for c in pole_classes(kappak, list(mult1))
-    }
+    multk: Dict[UPoly, int] = {c.factor: c.multiplicity for c in classesk}
     shared: List[SharedClass] = []
     new: List[NewClass] = []
     for p in sorted(mult1, key=lambda q: q.sort_key()):
@@ -580,30 +580,14 @@ def criterion_scan(
     deg_k1d = int(kappa1.den.degree)
     deg_kkn = int(kappak.num.degree)
     if rho.is_zero():
-        diag = OrderDiagnostics(
-            n1=part.n1,
-            nk=part.nk,
-            deg_kappa1d=deg_k1d,
-            deg_kappakn=deg_kkn,
-            rho=rho,
-            degenerate_rho=True,
-        )
+        diag = replace(base_diag, rho=rho, degenerate_rho=True)
         fired, witness = _run_ode_test(k, kappa1, kappak, part, rho)
         return outcome(fired=fired, h2_failure=witness, diagnostics=diag)
 
     rho_bar, rho_tilde, n_bar = divide_by_rho(kappak.num, rho)
     rho0 = rho.lc()
-    diag = OrderDiagnostics(
-        n1=part.n1,
-        nk=part.nk,
-        deg_kappa1d=deg_k1d,
-        deg_kappakn=deg_kkn,
-        rho=rho,
-        rho0=rho0,
-        rho_bar=rho_bar,
-        rho_tilde=rho_tilde,
-        n_bar=n_bar,
-    )
+    diag = replace(base_diag, rho=rho, rho0=rho0, rho_bar=rho_bar,
+                   rho_tilde=rho_tilde, n_bar=n_bar)
     deg_rho = int(rho.degree)
     lhs_degree = deg_k1d + part.nk
 
@@ -724,61 +708,41 @@ def certify(
     then the criterion battery for k = 2..K, stopping at the first firing
     order (-> nonintegrable).  kappa_k is computed only when the battery
     reaches order k, so no order above the stopping order is expanded.
-    kappa_1's denominator is factored once, in omega_decompose; every
-    partition reuses its classes and tries them on the kappa_k
-    denominator before the general factorizer.
+    The one factorization is that of a_0 in kappa_coefficients, which
+    also checks that the curve is integral; the pole classes of every
+    kappa_k come with it (VariationalData.classes) and flow to
+    omega_decompose and to every partition.
     Input it cannot certify raises InvalidInputError.
     """
     if not 2 <= K <= MAX_ORDER_CAP:
         raise InvalidInputError(f"max order must lie in 2..{MAX_ORDER_CAP}")
-    if not verify_integral_curve(sys, curve):
-        raise InvalidInputError(
-            "eta = phi(xi) is not an integral curve of the system"
-        )
     trace: List[str] = []
     vd = kappa_coefficients(sys, curve, K)
     kappa1 = vd.kappa(1)
     trace.append(f"kappa_1 = {kappa1}")
-    om = omega_decompose(kappa1)
+    om = omega_decompose(kappa1, vd.classes(1))
+
+    def certificate(status: str, **fields) -> Certificate:
+        fields = {"regular_at_infinity": True, "h1": None, "orders": (),
+                  "fired_k": None, "fired_criterion": None,
+                  "inconclusive_reason": None, **fields}
+        return Certificate(status=status, system=sys, curve=curve,
+                           max_order=K, omega=om, trace=tuple(trace),
+                           variational=vd, **fields)
+
     if not om.regular_at_infinity:
         trace.append(
             "deg(kappa_1 denominator) <= deg(kappa_1 numerator):"
             " irregular at infinity; the method does not apply"
         )
-        return Certificate(
-            status=STATUS_INAPPLICABLE,
-            system=sys,
-            curve=curve,
-            max_order=K,
-            regular_at_infinity=False,
-            omega=om,
-            h1=None,
-            orders=(),
-            fired_k=None,
-            fired_criterion=None,
-            inconclusive_reason=None,
-            trace=tuple(trace),
-            variational=vd,
-        )
+        return certificate(STATUS_INAPPLICABLE, regular_at_infinity=False)
     h1 = check_H1(om)
     if h1.holds:
         trace.append(f"H1 holds ({h1.reason})")
     else:
         trace.append("H1 fails: every residue is rational and E = 0")
-        return Certificate(
-            status=STATUS_INCONCLUSIVE,
-            system=sys,
-            curve=curve,
-            max_order=K,
-            regular_at_infinity=True,
-            omega=om,
-            h1=h1,
-            orders=(),
-            fired_k=None,
-            fired_criterion=None,
-            inconclusive_reason="h1-fails",
-            trace=tuple(trace),
-            variational=vd,
+        return certificate(
+            STATUS_INCONCLUSIVE, h1=h1, inconclusive_reason="h1-fails"
         )
     outcomes: List[CriterionOutcome] = []
     fired_k: Optional[int] = None
@@ -786,7 +750,9 @@ def certify(
     for k in range(2, K + 1):
         kappak = vd.kappa(k)
         try:
-            part = partition_roots(kappa1, kappak, om.classes)
+            part = partition_roots(
+                kappa1, kappak, vd.classes(1), vd.classes(k)
+            )
         except SkipOrder:
             outcomes.append(_skipped_outcome(k))
             trace.append(f"k={k}: kappa_k = 0, skipped")
@@ -816,24 +782,12 @@ def certify(
         else:
             trace.append(f"k={k}: no criterion fires")
     if fired_k is not None:
-        status = STATUS_NONINTEGRABLE
-        inconclusive_reason = None
-    else:
-        status = STATUS_INCONCLUSIVE
-        inconclusive_reason = "no-criterion-fired"
-        trace.append(f"no criterion fired for any k <= {K}")
-    return Certificate(
-        status=status,
-        system=sys,
-        curve=curve,
-        max_order=K,
-        regular_at_infinity=True,
-        omega=om,
-        h1=h1,
-        orders=tuple(outcomes),
-        fired_k=fired_k,
-        fired_criterion=fired_criterion,
-        inconclusive_reason=inconclusive_reason,
-        trace=tuple(trace),
-        variational=vd,
+        return certificate(
+            STATUS_NONINTEGRABLE, h1=h1, orders=tuple(outcomes),
+            fired_k=fired_k, fired_criterion=fired_criterion,
+        )
+    trace.append(f"no criterion fired for any k <= {K}")
+    return certificate(
+        STATUS_INCONCLUSIVE, h1=h1, orders=tuple(outcomes),
+        inconclusive_reason="no-criterion-fired",
     )

@@ -16,7 +16,6 @@ from .factorization import (
     eval_mod,
     factor_irreducible,
     partial_fractions,
-    pole_classes,
     ratfunc_eval_mod,
 )
 from .field import FieldSpec, QuadExt, Rat, is_rational_square
@@ -53,7 +52,6 @@ __all__ = [
     "is_rational_square",
     "multiplicity",
     "partial_fractions",
-    "pole_classes",
     "poly_divrem",
     "poly_gcd",
     "poly_xgcd",

@@ -1,20 +1,18 @@
 """Bivariate polynomials P(xi, eta) over Q(sqrt d).
 
 The representation is a tuple of univariate polynomials in xi indexed by
-the power of eta (trailing zero rows stripped).  The key operation for
-the variational pipeline is `shift_eta`: expanding P(xi, phi(xi) + w) as
-a polynomial in the normal displacement w with rational-function
-coefficients, which is exact and finite because P is polynomial in eta.
+the power of eta (trailing zero rows stripped).  The variational pipeline
+reads the rows directly: it expands P(xi, phi(xi) + w) in the normal
+displacement w, in polynomials over a power of phi's denominator (see
+varcalc).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .field import QuadExt
-from .ratfunc import RatFunc
 from .upoly import NEG_INF, Degree, UPoly
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -150,50 +148,13 @@ class BiPoly:
             n >>= 1
         return result
 
-    # -- calculus ---------------------------------------------------------------------
-
-    def derivative_eta(self) -> "BiPoly":
-        if len(self.rows) <= 1:
-            return BiPoly.zero(self.d)
-        return BiPoly(
-            [self.rows[j] * j for j in range(1, len(self.rows))], self.d
-        )
-
-    # -- substitution -------------------------------------------------------------------
-
-    def eval_eta(self, phi: RatFunc) -> RatFunc:
-        """P(xi, phi(xi)) for rational phi."""
-        acc = RatFunc.zero(self.d)
-        for r in reversed(self.rows):
-            acc = acc * phi + RatFunc.from_poly(r)
-        return acc
+    # -- evaluation ---------------------------------------------------------------------
 
     def eval_point(self, xi: Scalar, eta: Scalar) -> QuadExt:
         acc = QuadExt(0, 0, self.d)
         for r in reversed(self.rows):
             acc = acc * eta + r.eval(xi)  # type: ignore[operator]
         return acc
-
-    def shift_eta(self, phi: RatFunc, order: int) -> List[RatFunc]:
-        """Coefficients of w^k in P(xi, phi(xi) + w) for k = 0..order.
-
-        Exact binomial expansion: the w^k coefficient is
-        sum_{j >= k} C(j, k) * row_j(xi) * phi(xi)^(j-k).
-        """
-        phi_pows: List[RatFunc] = [RatFunc.constant(1, self.d)]
-        for _ in range(max(self.degree_eta, 0)):
-            phi_pows.append(phi_pows[-1] * phi)
-        out: List[RatFunc] = []
-        for k in range(order + 1):
-            acc = RatFunc.zero(self.d)
-            for j in range(k, len(self.rows)):
-                if self.rows[j].is_zero():
-                    continue
-                acc = acc + comb(j, k) * phi_pows[j - k] * RatFunc.from_poly(
-                    self.rows[j]
-                )
-            out.append(acc)
-        return out
 
     # -- plumbing -----------------------------------------------------------------------
 

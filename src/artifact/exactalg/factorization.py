@@ -4,10 +4,10 @@ and full partial-fraction decomposition.
 Factorization is staged for speed: powers of xi are stripped first, Yun's
 squarefree decomposition separates multiplicities, linear parts are
 immediate, and quadratics split exactly when their discriminant is a
-square in the field.  A squarefree part of degree >= 3 is divided by the
-irreducible factors the caller already knows (the pole classes of
-kappa_1, say), and only a cofactor of degree >= 3 coprime to all of them
-falls back to a general-purpose factorizer (imported lazily).
+square in the field; only a squarefree part of degree >= 3 falls back to
+a general-purpose factorizer (imported lazily).  The certifier factors
+one polynomial per certificate, a_0 (see varcalc), whose factors carry
+every pole it meets.
 Evaluations "at a root" are carried out in the quotient ring K[xi]/(p)
 so that conjugate roots are handled as one class and no splitting field
 is ever constructed.
@@ -140,9 +140,8 @@ def _split_with_sympy(g: UPoly) -> List[UPoly]:
     return out
 
 
-def _split_squarefree(g: UPoly, known: Sequence[UPoly] = ()) -> List[UPoly]:
-    """Monic irreducible factors of a monic squarefree polynomial; from
-    degree 3 on, a known factor dividing g is split off before sympy."""
+def _split_squarefree(g: UPoly) -> List[UPoly]:
+    """Monic irreducible factors of a monic squarefree polynomial."""
     deg = g.degree
     if deg <= 0:
         return []
@@ -150,22 +149,15 @@ def _split_squarefree(g: UPoly, known: Sequence[UPoly] = ()) -> List[UPoly]:
         return [g]
     if deg == 2:
         return _split_quadratic(g)
-    for p in known:
-        q, r = divmod(g, p)
-        if r.is_zero():
-            return [p] + _split_squarefree(q, known)
     return _split_with_sympy(g)
 
 
-def factor_irreducible(
-    a: UPoly, known: Sequence[UPoly] = ()
-) -> List[FactorClass]:
+def factor_irreducible(a: UPoly) -> List[FactorClass]:
     """Monic irreducible factorization over Q(sqrt d).
 
     a = lc(a) * prod p_c^{m_c} with each p_c monic irreducible over the
     field and the classes pairwise distinct, sorted canonically.
-    Constant or zero input is rejected.  `known` monic irreducibles are
-    tried as divisors before sympy; the result does not depend on them.
+    Constant or zero input is rejected.
     """
     if a.is_zero() or a.degree < 1:
         raise ValueError("factorization requires degree >= 1")
@@ -175,17 +167,10 @@ def factor_irreducible(
         classes.append(FactorClass(UPoly.x(a.d), v))
     if rest.degree >= 1:
         for part, mult in squarefree_decompose(rest):
-            for p in _split_squarefree(part, known):
+            for p in _split_squarefree(part):
                 classes.append(FactorClass(p, mult))
     classes.sort(key=lambda c: c.factor.sort_key())
     return classes
-
-
-def pole_classes(
-    f: RatFunc, known: Sequence[UPoly] = ()
-) -> List[FactorClass]:
-    """The irreducible classes of f's denominator; none for a polynomial."""
-    return factor_irreducible(f.den, known) if f.den.degree >= 1 else []
 
 
 def eval_mod(a: UPoly, p: UPoly) -> UPoly:
@@ -281,20 +266,22 @@ class PartialFractions:
         return f"PartialFractions({self.poly_part!r}, {list(self.terms)!r})"
 
 
-def partial_fractions(f: RatFunc) -> PartialFractions:
+def partial_fractions(
+    f: RatFunc, classes: Sequence[FactorClass]
+) -> PartialFractions:
     """Full partial-fraction decomposition over Q(sqrt d).
 
-    The denominator is factored into irreducible classes; each class
-    component is extracted by inverting the cofactor modulo p^m and then
-    expanded into p-adic digits, so every term numerator has degree below
-    the degree of its factor.
+    classes is the irreducible factorization of f's denominator.  Each
+    class component is extracted by inverting the cofactor modulo p^m and
+    then expanded into p-adic digits, so every term numerator has degree
+    below the degree of its factor.
     """
     poly_part, proper = f.proper_parts()
     if proper.is_zero():
         return PartialFractions(poly_part, [])
     num, den = proper.num, proper.den
     terms: List[PFTerm] = []
-    for cls in factor_irreducible(den):
+    for cls in classes:
         p, m = cls.factor, cls.multiplicity
         pm = p**m
         cofactor = den.exact_div(pm)

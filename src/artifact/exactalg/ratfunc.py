@@ -53,6 +53,15 @@ class RatFunc:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
+    def from_coprime(num: UPoly, den: UPoly) -> "RatFunc":
+        """num/den taken as already reduced, with no gcd: the caller
+        guarantees den monic and coprime to num, and den = 1 for num = 0."""
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @staticmethod
     def from_poly(p: UPoly) -> "RatFunc":
         return RatFunc(p, UPoly.one(p.d))
 

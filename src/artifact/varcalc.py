@@ -11,13 +11,22 @@ are exact rational functions.  kappa_1 drives the first-order equation
 Omega' = kappa_1 * Omega; its solution decomposes as Omega =
 e^{E(xi)} * prod_c p_c(xi)^{r_c} with a rational exponential part E and
 one residue r_c per irreducible pole class of kappa_1.
+
+The expansion runs in polynomials.  With phi = u/v and D the largest
+eta-degree of P and Q, v^D * P(xi, phi + w) = sum_k a_k w^k with
+polynomial coefficients a_k (and b_k likewise for Q), and the series
+r = sum_n r_n w^n of Q/P obeys r_n = (b_n - sum_{i>=1} a_i r_{n-i}) / a_0.
+By induction the denominator of r_n divides a_0^(n+1): every pole of
+every kappa_k is a root of the one polynomial a_0, so a_0 is factored
+once and each r_n is carried as a numerator over a product of a_0's
+irreducible factors, with one exponent per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
-from typing import List, Optional, Tuple
+from math import comb, factorial
+from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import (
     BiPoly,
@@ -27,6 +36,7 @@ from .exactalg import (
     RatFunc,
     UPoly,
     eval_mod,
+    factor_irreducible,
     partial_fractions,
     poly_xgcd,
 )
@@ -64,52 +74,123 @@ class CurveData:
     phi: RatFunc
 
 
+# A term of the series of Q/P: a numerator over prod_f f^e, one exponent
+# per irreducible factor f of a_0 (in the order of VariationalData.a0).
+Term = Tuple[UPoly, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class VariationalData:
-    """kappa_1..kappa_K for one system and curve, each reduced.
+    """kappa_1..kappa_K for one system and curve, each reduced, with the
+    irreducible pole classes of each.
 
     Only the order-0 data is computed at construction; kappa_k is
     expanded the first time it is asked for, and the recurrence state is
     kept, so a caller that stops at order k never pays for the orders
     above k.
+
+    r_n is kept as M_n / prod_f f^e_f over the factors f of a_0 =
+    lead * prod_f f^m_f, with M_n coprime to every f of positive
+    exponent.  A step brings b_n and the terms a_i * r_{n-i} to the
+    denominator prod_f f^E_f, E_f the largest exponent among them, and
+    divides the sum by a_0, which gives exponents E_f + m_f.  Then f is
+    divided out of the numerator while it divides it, at most E_f + m_f
+    times (the valuation cap: a factor at exponent 0 is no pole, however
+    often it divides the numerator).  What is left is coprime to every
+    remaining f and the denominator holds only those f, so the fraction
+    is reduced without a gcd, and its exponents are kappa_n's pole
+    classes.
     """
 
     system: PlanarSystem
     curve: CurveData
     K: int
-    # w^k coefficients of P and Q along the curve, k = 0..min(K, deg_eta)
-    p_series: Tuple[RatFunc, ...] = field(repr=False, compare=False)
-    q_series: Tuple[RatFunc, ...] = field(repr=False, compare=False)
-    # [w^k] Q/P for k = 0..n and kappa_1..kappa_n, n the highest order
-    # expanded so far
-    r_series: List[RatFunc] = field(repr=False, compare=False)
+    # w^k coefficients of v^D * P and v^D * Q along the curve,
+    # k = 0..min(K, deg_eta)
+    a_series: Tuple[UPoly, ...] = field(repr=False, compare=False)
+    b_series: Tuple[UPoly, ...] = field(repr=False, compare=False)
+    # the irreducible factorization of a_0 = a_series[0] and its lead
+    a0: Tuple[FactorClass, ...] = field(repr=False, compare=False)
+    a0_lead: QuadExt = field(repr=False, compare=False)
+    # [w^n] Q/P for n = 0..top and kappa_1..kappa_top, top the highest
+    # order expanded so far
+    r_series: List[Term] = field(repr=False, compare=False)
     kappas: List[RatFunc] = field(repr=False, compare=False)
 
     def kappa(self, k: int) -> RatFunc:
         if not 1 <= k <= self.K:
             raise IndexError(f"order {k} outside 1..{self.K}")
-        p, q, r = self.p_series, self.q_series, self.r_series
+        a, r = self.a_series, self.r_series
         while len(r) <= k:
             n = len(r)
-            acc = q[n] if n < len(q) else RatFunc.zero(self.system.field.d)
-            # p_series[i] = 0 for i > deg_eta P: those terms drop out
-            for i in range(1, min(n, len(p) - 1) + 1):
-                if not p[i].is_zero():
-                    acc = acc - p[i] * r[n - i]
-            r.append(acc / p[0])
-            self.kappas.append(factorial(n) * r[n])
+            terms: List[Term] = []
+            if n < len(self.b_series) and not self.b_series[n].is_zero():
+                terms.append((self.b_series[n], (0,) * len(self.a0)))
+            # a_i = 0 for i > deg_eta P: those terms drop out
+            for i in range(1, min(n, len(a) - 1) + 1):
+                num, exps = r[n - i]
+                if not a[i].is_zero() and not num.is_zero():
+                    terms.append((-(a[i] * num), exps))
+            num, exps = _over_a0(self.a0, self.a0_lead, terms, a[0].d)
+            r.append((num, exps))
+            den = UPoly.one(num.d)
+            for cls, e in zip(self.a0, exps):
+                den = den * cls.factor**e
+            self.kappas.append(RatFunc.from_coprime(num * factorial(n), den))
         return self.kappas[k - 1]
 
-
-def verify_integral_curve(sys: PlanarSystem, curve: CurveData) -> bool:
-    """True iff Q(xi, phi) - phi' * P(xi, phi) vanishes identically."""
-    p_on_curve = sys.P.eval_eta(curve.phi)
-    if p_on_curve.is_zero():
-        raise CurveInSingularLocusError(
-            "P vanishes identically on the curve"
+    def classes(self, k: int) -> Tuple[FactorClass, ...]:
+        """The irreducible pole classes of kappa_k, sorted canonically."""
+        self.kappa(k)
+        return tuple(
+            FactorClass(cls.factor, e)
+            for cls, e in zip(self.a0, self.r_series[k][1]) if e > 0
         )
-    q_on_curve = sys.Q.eval_eta(curve.phi)
-    return (q_on_curve - curve.phi.derivative() * p_on_curve).is_zero()
+
+
+def _over_a0(
+    a0: Sequence[FactorClass], lead: QuadExt, terms: Sequence[Term], d: int
+) -> Term:
+    """(sum of terms) / a_0, reduced by valuations, for a_0 = lead *
+    prod_f f^m_f (see VariationalData)."""
+    top = [max((e[j] for _, e in terms), default=0) for j in range(len(a0))]
+    acc = UPoly.zero(d)
+    for num, exps in terms:
+        for cls, e, t in zip(a0, exps, top):
+            if t > e:
+                num = num * cls.factor ** (t - e)
+        acc = acc + num
+    if acc.is_zero():
+        return acc, (0,) * len(a0)
+    acc = acc.scale(lead.inverse())
+    out: List[int] = []
+    for cls, t in zip(a0, top):
+        e = t + cls.multiplicity
+        while e > 0:
+            q, rem = divmod(acc, cls.factor)
+            if not rem.is_zero():
+                break
+            acc, e = q, e - 1
+        out.append(e)
+    return acc, tuple(out)
+
+
+def _along_curve(
+    p: BiPoly, upow: List[UPoly], vpow: List[UPoly], order: int
+) -> Tuple[UPoly, ...]:
+    """The w^k coefficients a_k, k = 0..order, of v^D * p(xi, u/v + w):
+    a_k = v^k * sum_{j>=k} C(j, k) * row_j * u^(j-k) * v^(D-j), with
+    D = len(vpow) - 1 >= deg_eta p."""
+    D = len(vpow) - 1
+    out: List[UPoly] = []
+    for k in range(order + 1):
+        acc = UPoly.zero(p.d)
+        for j in range(k, len(p.rows)):
+            row, u = p.rows[j], upow[j - k]
+            if not row.is_zero() and not u.is_zero():
+                acc = acc + row * u * vpow[D - j] * comb(j, k)
+        out.append(acc * vpow[k])
+    return tuple(out)
 
 
 def kappa_coefficients(
@@ -117,36 +198,45 @@ def kappa_coefficients(
 ) -> VariationalData:
     """Expand R = Q/P along the curve: kappa_k = k! [w^k] R(xi, phi + w).
 
-    Numerator and denominator of R are expanded exactly in the normal
-    displacement w; the denominator series is inverted order by order,
-    which is valid because P does not vanish identically on the curve.
-    The zeroth coefficient must reproduce phi' (the curve is integral).
+    v^D * P and v^D * Q are expanded exactly in the normal displacement
+    w, in polynomials; the series of P is inverted order by order, which
+    is valid because P does not vanish identically on the curve
+    (a_0 != 0).  The curve is integral iff [w^0] of Q/P is phi' =
+    (u'v - uv')/v^2, that is iff b_0 * v^2 = (u'v - uv') * a_0.
 
-    Only that order-0 work runs here, so bad input fails at once; the
-    returned VariationalData expands kappa_k when kappa(k) is first
-    called.
+    Only that order-0 work, and the one factorization of a_0, runs here,
+    so bad input fails at once; the returned VariationalData expands
+    kappa_k when kappa(k) is first called.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    phi = curve.phi
-    p_series = sys.P.shift_eta(phi, min(K, sys.P.degree_eta))
-    q_series = sys.Q.shift_eta(phi, min(K, max(sys.Q.degree_eta, 0)))
-    p0 = p_series[0]
-    if p0.is_zero():
+    u, v = curve.phi.num, curve.phi.den
+    D = max(sys.P.degree_eta, sys.Q.degree_eta, 0)
+    upow, vpow = [UPoly.one(u.d)], [UPoly.one(v.d)]
+    for _ in range(D):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    a = _along_curve(sys.P, upow, vpow, min(K, sys.P.degree_eta))
+    b = _along_curve(sys.Q, upow, vpow, min(K, max(sys.Q.degree_eta, 0)))
+    a0 = a[0]
+    if a0.is_zero():
         raise CurveInSingularLocusError(
             "P vanishes identically on the curve"
         )
-    r0 = q_series[0] / p0
-    if r0 != phi.derivative():
+    if b[0] * v * v != (u.derivative() * v - u * v.derivative()) * a0:
         raise InvalidInputError(
-            "curve is not an integral curve: [w^0] of Q/P differs from phi'"
+            "eta = phi(xi) is not an integral curve of the system"
         )
+    classes = tuple(factor_irreducible(a0)) if a0.degree >= 1 else ()
+    r0 = _over_a0(classes, a0.lc(), [(b[0], (0,) * len(classes))], a0.d)
     return VariationalData(
         system=sys,
         curve=curve,
         K=K,
-        p_series=tuple(p_series),
-        q_series=tuple(q_series),
+        a_series=a,
+        b_series=b,
+        a0=classes,
+        a0_lead=a0.lc(),
         r_series=[r0],
         kappas=[],
     )
@@ -177,19 +267,18 @@ class ResidueEntry:
 
 @dataclass(frozen=True)
 class OmegaData:
-    """Omega = e^{E} * prod_c p_c^{r_c}, plus the regularity flag.
+    """Omega = e^{E} * prod p_c^{r_c}, plus the regularity flag.
 
     E carries the polynomial part and all pole orders >= 2 of the
     antiderivative of kappa_1 (zero-constant normalization); the residues
     carry the order-1 pole data.  regular_at_infinity records
-    deg kappa_1_den > deg kappa_1_num; classes factors kappa_1_den.
+    deg kappa_1_den > deg kappa_1_num.
     """
 
     kappa1: RatFunc
     exp_part: RatFunc
     residues: Tuple[ResidueEntry, ...]
     regular_at_infinity: bool
-    classes: Tuple[FactorClass, ...]
 
     def reconstruct(self) -> RatFunc:
         """E' + sum_c (r_c * p_c' mod p_c)/p_c; must equal kappa_1."""
@@ -202,18 +291,22 @@ class OmegaData:
         return acc
 
 
-def omega_decompose(kappa1: RatFunc) -> OmegaData:
+def omega_decompose(
+    kappa1: RatFunc, classes: Sequence[FactorClass]
+) -> OmegaData:
     """Split the antiderivative of kappa_1 into exponential and log data.
 
-    Partial fractions give kappa_1 = poly + sum n_{c,i}/p_c^i.  The
-    polynomial part integrates into E.  Each order-i >= 2 term is reduced
-    by one order using n = u*p + v*p', since int(v*p'/p^i) contributes
-    the rational term -v/((i-1) p^{i-1}); iterating leaves only simple
-    poles, whose class residues are n_c/(p_c') in K[xi]/(p_c).
+    classes is the irreducible factorization of kappa_1's denominator
+    (VariationalData.classes(1)).  Partial fractions give kappa_1 = poly
+    + sum n_{c,i}/p_c^i.  The polynomial part integrates into E.  Each
+    order-i >= 2 term is reduced by one order using n = u*p + v*p', since
+    int(v*p'/p^i) contributes the rational term -v/((i-1) p^{i-1});
+    iterating leaves only simple poles, whose class residues are
+    n_c/(p_c') in K[xi]/(p_c).
     """
     d = kappa1.d
     regular = kappa1.den.degree > kappa1.num.degree
-    pf = partial_fractions(kappa1)
+    pf = partial_fractions(kappa1, classes)
     exp_part = RatFunc.from_poly(pf.poly_part.antiderivative())
 
     # Group the term numerators per class: digits[order] = numerator.
@@ -221,15 +314,12 @@ def omega_decompose(kappa1: RatFunc) -> OmegaData:
     for term in pf.terms:
         by_class.setdefault(term.factor, {})[term.order] = term.numerator
     residues: List[ResidueEntry] = []
-    classes: List[FactorClass] = []
-    for p in sorted(by_class, key=lambda q: q.sort_key()):
+    zero = UPoly.zero(d)
+    for cls in classes:
+        p, m = cls.factor, cls.multiplicity
         digits = by_class[p]
-        # kappa_1 is reduced, so every class has a term of top order m
-        m = max(digits)
-        classes.append(FactorClass(p, m))
         dp = p.derivative()
         _, _, t = poly_xgcd(p, dp)  # t * p' = 1 mod p
-        zero = UPoly.zero(d)
         current = digits.get(m, zero)
         for i in range(m, 1, -1):
             v = eval_mod(current * t, p)
@@ -239,11 +329,10 @@ def omega_decompose(kappa1: RatFunc) -> OmegaData:
             current = u + v.derivative().scale(inv) + digits.get(i - 1, zero)
         if not current.is_zero():
             residue = eval_mod(current * t, p)
-            residues.append(ResidueEntry(cls=classes[-1], residue=residue))
+            residues.append(ResidueEntry(cls=cls, residue=residue))
     return OmegaData(
         kappa1=kappa1,
         exp_part=exp_part,
         residues=tuple(residues),
         regular_at_infinity=regular,
-        classes=tuple(classes),
     )

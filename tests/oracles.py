@@ -7,17 +7,40 @@
   roots the simplicity profile predicts in closed form;
 * ``kappa_by_differentiation`` computes kappa_k by repeated symbolic
   differentiation of Q/P instead of the series recurrence;
+* ``kappa_by_recurrence`` runs the series recurrence in reduced
+  ``RatFunc`` arithmetic (a gcd after every operation) on the expansion
+  ``shift_eta`` of P and Q along the curve, the reference for the
+  polynomial expansion and the valuation reduction of ``varcalc``;
+  ``eval_eta`` substitutes the curve into a ``BiPoly``;
+* ``pole_classes`` factors a denominator afresh with
+  ``factor_irreducible``, the reference for the classes the pipeline
+  passes along; ``partition`` and ``omega`` call ``partition_roots`` and
+  ``omega_decompose`` with such classes;
 * ``FractionPairQuadExt`` is field arithmetic on a pair of Fractions
   a + b*sqrt(d), the reference for the integer-triple ``QuadExt``.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
-from artifact.criteria import RootPartition
-from artifact.exactalg import QuadExt, RatFunc, UPoly
+from artifact.criteria import RootPartition, partition_roots
+from artifact.exactalg import (
+    BiPoly,
+    FactorClass,
+    QuadExt,
+    RatFunc,
+    UPoly,
+    factor_irreducible,
+)
 from artifact.exactalg.field import _fraction_sqrt
-from artifact.varcalc import CurveData, CurveInSingularLocusError, PlanarSystem
+from artifact.varcalc import (
+    CurveData,
+    CurveInSingularLocusError,
+    OmegaData,
+    PlanarSystem,
+    omega_decompose,
+)
 
 
 def solve_linear_exact(
@@ -135,6 +158,69 @@ def auxiliary_polynomial(
     return acc - kappa1.den * total
 
 
+def pole_classes(f: RatFunc) -> List[FactorClass]:
+    """The irreducible classes of f's denominator; none for a polynomial."""
+    return factor_irreducible(f.den) if f.den.degree >= 1 else []
+
+
+def eval_eta(p: BiPoly, phi: RatFunc) -> RatFunc:
+    """p(xi, phi(xi)) for rational phi, by Horner's rule in RatFunc."""
+    acc = RatFunc.zero(p.d)
+    for r in reversed(p.rows):
+        acc = acc * phi + RatFunc.from_poly(r)
+    return acc
+
+
+def shift_eta(p: BiPoly, phi: RatFunc, order: int) -> List[RatFunc]:
+    """Coefficients of w^k in p(xi, phi(xi) + w) for k = 0..order.
+
+    Exact binomial expansion: the w^k coefficient is
+    sum_{j >= k} C(j, k) * row_j(xi) * phi(xi)^(j-k).
+    """
+    phi_pows: List[RatFunc] = [RatFunc.constant(1, p.d)]
+    for _ in range(max(p.degree_eta, 0)):
+        phi_pows.append(phi_pows[-1] * phi)
+    out: List[RatFunc] = []
+    for k in range(order + 1):
+        acc = RatFunc.zero(p.d)
+        for j in range(k, len(p.rows)):
+            if p.rows[j].is_zero():
+                continue
+            acc = acc + comb(j, k) * phi_pows[j - k] * RatFunc.from_poly(
+                p.rows[j]
+            )
+        out.append(acc)
+    return out
+
+
+def kappa_by_recurrence(
+    sys: PlanarSystem, curve: CurveData, K: int
+) -> List[RatFunc]:
+    """kappa_1..kappa_K from the series recurrence r_n = (q_n - sum_i
+    p_i r_{n-i}) / p_0 in reduced RatFunc arithmetic, every term summed."""
+    p_series = shift_eta(sys.P, curve.phi, K)
+    q_series = shift_eta(sys.Q, curve.phi, K)
+    r_series = [q_series[0] / p_series[0]]
+    for k in range(1, K + 1):
+        acc = q_series[k]
+        for i in range(1, k + 1):
+            acc = acc - p_series[i] * r_series[k - i]
+        r_series.append(acc / p_series[0])
+    return [factorial(k) * r_series[k] for k in range(1, K + 1)]
+
+
+def is_integral_curve(sys: PlanarSystem, curve: CurveData) -> bool:
+    """True iff Q(xi, phi) - phi' * P(xi, phi) vanishes identically."""
+    p_on_curve = eval_eta(sys.P, curve.phi)
+    q_on_curve = eval_eta(sys.Q, curve.phi)
+    return (q_on_curve - curve.phi.derivative() * p_on_curve).is_zero()
+
+
+def derivative_eta(p: BiPoly) -> BiPoly:
+    """The partial derivative of p in eta."""
+    return BiPoly([p.rows[j] * j for j in range(1, len(p.rows))], p.d)
+
+
 def kappa_by_differentiation(
     sys: PlanarSystem, curve: CurveData, K: int
 ) -> Tuple[RatFunc, ...]:
@@ -149,15 +235,15 @@ def kappa_by_differentiation(
     for _ in range(1, K + 1):
         # d/d eta (num/den) = (num_eta * den - num * den_eta) / den^2
         num, den = (
-            num.derivative_eta() * den - num * den.derivative_eta(),
+            derivative_eta(num) * den - num * derivative_eta(den),
             den * den,
         )
-        den_val = den.eval_eta(phi)
+        den_val = eval_eta(den, phi)
         if den_val.is_zero():
             raise CurveInSingularLocusError(
                 "P vanishes identically on the curve"
             )
-        out.append(num.eval_eta(phi) / den_val)
+        out.append(eval_eta(num, phi) / den_val)
     return tuple(out)
 
 
@@ -282,3 +368,15 @@ class FractionPairQuadExt:
 
     def sort_key(self):
         return (self.a, self.b)
+
+
+def partition(kappa1: RatFunc, kappak: RatFunc) -> RootPartition:
+    """partition_roots with both denominators factored afresh."""
+    return partition_roots(
+        kappa1, kappak, pole_classes(kappa1), pole_classes(kappak)
+    )
+
+
+def omega(kappa1: RatFunc) -> OmegaData:
+    """omega_decompose with kappa_1's denominator factored afresh."""
+    return omega_decompose(kappa1, pole_classes(kappa1))

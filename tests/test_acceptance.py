@@ -10,13 +10,12 @@ import time
 from fractions import Fraction
 
 from conftest import rand_scalar
-from oracles import auxiliary_polynomial
+from oracles import auxiliary_polynomial, omega, partition, pole_classes
 
 from artifact.criteria import (
     build_rho,
     certify,
     divide_by_rho,
-    partition_roots,
     polynomial_solution,
     simplicity_profile,
 )
@@ -27,7 +26,6 @@ from artifact.exactalg import (
     factor_irreducible,
     multiplicity,
     partial_fractions,
-    pole_classes,
     poly_divrem,
 )
 from artifact.unfoldings import (
@@ -37,7 +35,7 @@ from artifact.unfoldings import (
     fold_hopf_system,
     theorem_conditions,
 )
-from artifact.varcalc import kappa_coefficients, omega_decompose
+from artifact.varcalc import kappa_coefficients
 
 F = FieldSpec(2)
 RT = F.surd()
@@ -134,7 +132,7 @@ def test_gate_3_omega_residues():
         params = FoldHopfParams(F, -1, nu, alpha)
         system, curve = fold_hopf_system(params)
         k1 = kappa_coefficients(system, curve, 1).kappa(1)
-        om = omega_decompose(k1)
+        om = omega(k1)
         assert om.exp_part.is_zero()
         by_class = {
             tuple(e.cls.factor.coeffs): e.constant_value() for e in om.residues
@@ -146,7 +144,7 @@ def test_gate_3_omega_residues():
         params0 = FoldHopfParams(F, 0, nu, alpha)
         system0, curve0 = fold_hopf_system(params0)
         k10 = kappa_coefficients(system0, curve0, 1).kappa(1)
-        om0 = omega_decompose(k10)
+        om0 = omega(k10)
         assert om0.exp_part == RatFunc(UPoly.constant(-nu, 2), xp(0, 1))
         assert len(om0.residues) == 1
         entry = om0.residues[0]
@@ -220,7 +218,7 @@ def test_gate_5_rho_division_closed_forms():
             for j in (2, 3):
                 k = 2 * j - 1
                 kk = vd.kappa(k)
-                part = partition_roots(k1, kk, pole_classes(k1))
+                part = partition(k1, kk)
                 rho = build_rho(k1, part, k)
                 rho_bar, rho_tilde, n_bar = divide_by_rho(kk.num, rho)
                 assert n_bar == 0
@@ -243,7 +241,7 @@ def test_gate_5_rho_division_closed_forms():
             system, curve = double_hopf_system(params, chart=1)
             vd = kappa_coefficients(system, curve, 3)
             k1, k3 = vd.kappa(1), vd.kappa(3)
-            part = partition_roots(k1, k3, pole_classes(k1))
+            part = partition(k1, k3)
             assert not part.shared and not part.new
             rho = build_rho(k1, part, 3)
             assert rho == k1.num * 2
@@ -352,9 +350,8 @@ def test_gate_8_property_and_numerical_oracles():
     for _ in range(40):
         num = rand_upoly(rng, F, 3)
         den = rand_upoly(rng, F, 3, nonzero=True)
-        assert partial_fractions(RatFunc(num, den)).recombine() == RatFunc(
-            num, den
-        )
+        f = RatFunc(num, den)
+        assert partial_fractions(f, pole_classes(f)).recombine() == f
     for _ in range(40):
         p = rand_upoly(rng, F, 4, nonzero=True)
         if p.degree < 1:
@@ -387,7 +384,7 @@ def test_gate_8_property_and_numerical_oracles():
         vd = kappa_coefficients(system, curve, 5)
         k1 = vd.kappa(1)
         for k in (3, 5):
-            part = partition_roots(k1, vd.kappa(k), pole_classes(k1))
+            part = partition(k1, vd.kappa(k))
             prof = simplicity_profile(k1, part, k)
             for idx, cls in enumerate(prof.classes):
                 for b in range(1, 6):

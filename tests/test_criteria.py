@@ -15,7 +15,6 @@ from artifact.criteria import (
     check_H1,
     criterion_scan,
     divide_by_rho,
-    partition_roots,
     polynomial_solution,
     simplicity_profile,
 )
@@ -25,7 +24,6 @@ from artifact.exactalg import (
     RatFunc,
     UPoly,
     multiplicity,
-    pole_classes,
     poly_gcd,
 )
 from artifact.expr import parse_ratfunc
@@ -37,10 +35,14 @@ from artifact.unfoldings import (
     fold_hopf_kappa,
     fold_hopf_system,
 )
-from artifact.varcalc import omega_decompose
 
 from conftest import rand_scalar, rand_upoly
-from oracles import auxiliary_polynomial, dense_ode_solutions
+from oracles import (
+    auxiliary_polynomial,
+    dense_ode_solutions,
+    omega,
+    partition,
+)
 
 
 def xp(*coeffs, d=2):
@@ -59,7 +61,7 @@ def rf(text, F):
 def test_partition_shared_and_new_classes(F2):
     k1 = rf("1/((xi - 1)*(xi + 1))", F2)
     kk = rf("1/((xi - 1)^3*(xi + 2)^2)", F2)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     shared = {tuple(c.factor.coeffs): (c.b1, c.a1) for c in part.shared}
     # xi-1: multiplicity 1 -> 3; xi+1: 1 -> 0 (disappears, a1 = -1)
     assert shared == {
@@ -77,7 +79,7 @@ def test_partition_shared_and_new_classes(F2):
 def test_partition_omits_unchanged_classes(F2):
     k1 = rf("1/((xi - 1)*(xi + 1))", F2)
     kk = rf("1/((xi - 1)*(xi + 1)^2)", F2)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     assert len(part.shared) == 1  # xi - 1 dropped: multiplicity unchanged
     assert part.shared[0].factor == xp(1, 1)
     assert part.shared[0].a1 == 1
@@ -86,12 +88,12 @@ def test_partition_omits_unchanged_classes(F2):
 
 def test_partition_zero_kappak_skips(F2):
     with pytest.raises(SkipOrder):
-        partition_roots(rf("1/xi", F2), RatFunc.zero(2), [])
+        partition(rf("1/xi", F2), RatFunc.zero(2))
 
 
 def test_partition_polynomial_kappak(F2):
     k1 = rf("1/xi", F2)
-    part = partition_roots(k1, rf("xi + 3", F2), pole_classes(k1))
+    part = partition(k1, rf("xi + 3", F2))
     # kappa_k has no poles: the xi class disappears (a1 = -1)
     assert len(part.new) == 0
     assert len(part.shared) == 1 and part.shared[0].a1 == -1
@@ -100,7 +102,7 @@ def test_partition_polynomial_kappak(F2):
 def test_partition_quadratic_conjugate_class(F2):
     k1 = rf("1/(xi^2 - 3)", F2)
     kk = rf("1/(xi^2 - 3)^2", F2)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     assert len(part.shared) == 1
     assert part.shared[0].factor == xp(-3, 0, 1)
     assert part.n1 == 2  # a class of degree 2 counts both conjugate roots
@@ -117,7 +119,7 @@ def test_simplicity_closed_form_example(F2, rt2):
     alpha, nu = rt2, F2(1)
     k1 = fold_hopf_kappa(FoldHopfParams(F2, -1, nu, alpha), 1)
     kk = fold_hopf_kappa(FoldHopfParams(F2, -1, nu, alpha), 3)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     prof = simplicity_profile(k1, part, 3)
     by_class = {tuple(c.factor.coeffs): c.bad_b for c in prof.classes}
     assert by_class[tuple(xp(-1, 1).coeffs)] == alpha + nu  # at xi = 1
@@ -128,7 +130,7 @@ def test_simplicity_profile_flags(F2, rt2):
     # bad_b = 1 exactly: alpha - nu = 1 at xi = -1 with alpha irrational
     params = FoldHopfParams(F2, -1, rt2 - F2(1), rt2)
     k1 = fold_hopf_kappa(params, 1)
-    part = partition_roots(k1, fold_hopf_kappa(params, 3), pole_classes(k1))
+    part = partition(k1, fold_hopf_kappa(params, 3))
     prof = simplicity_profile(k1, part, 3)
     flags = {tuple(c.factor.coeffs): c for c in prof.classes}
     c_plus = flags[tuple(xp(1, 1).coeffs)]  # xi = -1
@@ -156,7 +158,7 @@ def test_simplicity_vs_auxiliary_polynomial_oracle(F2, rt2):
             gen = double_hopf_kappa
         k1 = gen(params, 1)
         for k in (3, 5):
-            part = partition_roots(k1, gen(params, k), pole_classes(k1))
+            part = partition(k1, gen(params, k))
             prof = simplicity_profile(k1, part, k)
             for idx, cls in enumerate(prof.classes):
                 for b in range(1, 6):
@@ -180,7 +182,7 @@ def test_simplicity_vs_auxiliary_polynomial_oracle(F2, rt2):
 def test_auxiliary_polynomial_always_vanishes_on_shared_roots(F2, rt2):
     params = FoldHopfParams(F2, -1, 1, rt2)
     k1 = fold_hopf_kappa(params, 1)
-    part = partition_roots(k1, fold_hopf_kappa(params, 3), pole_classes(k1))
+    part = partition(k1, fold_hopf_kappa(params, 3))
     for b in ([1, 1], [2, 3], [4, 5]):
         aux = auxiliary_polynomial(k1, part, 3, b)
         for cls in part.shared:
@@ -212,7 +214,7 @@ def test_rho_closed_form_fold_hopf(F2, rt2):
             for j in (2, 3):
                 k = 2 * j - 1
                 kk = fold_hopf_kappa(params, k)
-                part = partition_roots(k1, kk, pole_classes(k1))
+                part = partition(k1, kk)
                 rho = build_rho(k1, part, k)
                 rho_bar, rho_tilde, n_bar = divide_by_rho(kk.num, rho)
                 lead = F2(math.factorial(k)) * F2(-s) ** (j - 1)
@@ -236,7 +238,7 @@ def test_rho_closed_form_double_hopf_beta_zero(F2, rt2):
         params = DoubleHopfParams(F2, mu, nu, alpha, 0, s=s)
         k1 = double_hopf_kappa(params, 1)
         kk = double_hopf_kappa(params, 3)
-        part = partition_roots(k1, kk, pole_classes(k1))
+        part = partition(k1, kk)
         assert not part.shared and not part.new  # same poles at k=3
         rho = build_rho(k1, part, 3)
         rho_bar, rho_tilde, n_bar = divide_by_rho(kk.num, rho)
@@ -441,7 +443,7 @@ def test_ode_solve_work_is_linear_in_the_resonance(monkeypatch, rt2):
 def scan_family(params, k, gen1=fold_hopf_kappa):
     k1 = gen1(params, 1)
     kk = gen1(params, k)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     prof = simplicity_profile(k1, part, k)
     return criterion_scan(k, k1, kk, part, prof)
 
@@ -483,7 +485,7 @@ def test_criterion_vi_synthetic_irregular(F2):
     directly constructed kappa data rather than a certified system."""
     k1 = RatFunc(xp(Fraction(1, 2), 0, 0, 0, 1), xp(-1, 0, 1))
     kk = RatFunc(xp(3, 0, 0, 0, 0, 1), xp(-1, 0, 1) ** 2)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     prof = simplicity_profile(k1, part, 3)
     out = criterion_scan(3, k1, kk, part, prof)
     assert out.fired == "vi"
@@ -503,7 +505,7 @@ def test_scan_precondition_failures(F2, rt2):
     # coprimality gate; the root must come from a class that left the
     # denominator entirely, else reduction would cancel it.
     bad_kk = rf("(xi - 1)/(xi + 1)^3", F2)
-    part = partition_roots(k1, bad_kk, pole_classes(k1))
+    part = partition(k1, bad_kk)
     assert any(c.a1 < 0 for c in part.shared)
     prof = simplicity_profile(k1, part, 3)
     out = criterion_scan(3, k1, bad_kk, part, prof)
@@ -517,7 +519,7 @@ def test_scan_extra_hypothesis_violation_recorded(F2, rt2):
     params = FoldHopfParams(F2, -1, rt2, 2 + rt2)
     k1 = fold_hopf_kappa(params, 1)
     kk = fold_hopf_kappa(params, 3)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     prof = simplicity_profile(k1, part, 3)
     assert not prof.all_simple_whenever_bj_gt_1
     out = criterion_scan(3, k1, kk, part, prof)
@@ -531,7 +533,7 @@ def test_h2_failure_witness_double_hopf_alpha_one(F2, rt2):
     params = DoubleHopfParams(F2, 1, rt2, 1, 1)
     k1 = double_hopf_kappa(params, 1)
     kk = double_hopf_kappa(params, 3)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     prof = simplicity_profile(k1, part, 3)
     out = criterion_scan(3, k1, kk, part, prof)
     witness = out.h2_failure
@@ -562,17 +564,17 @@ def test_h2_failure_witness_double_hopf_alpha_one(F2, rt2):
 
 
 def test_check_h1_reasons(F2, rt2):
-    om = omega_decompose(rf("(rt*xi + 1)/(xi^2 - 1)", F2))
+    om = omega(rf("(rt*xi + 1)/(xi^2 - 1)", F2))
     verdict = check_H1(om)
     assert verdict.holds and verdict.reason == "irrational-residue"
-    om2 = omega_decompose(rf("(3*xi + 1)/(xi^2)", F2))
+    om2 = omega(rf("(3*xi + 1)/(xi^2)", F2))
     verdict2 = check_H1(om2)
     assert verdict2.holds and verdict2.reason == "nonzero-exp-part"
-    om3 = omega_decompose(rf("(3*xi + 2)/(xi^2 - 1)", F2))
+    om3 = omega(rf("(3*xi + 2)/(xi^2 - 1)", F2))
     verdict3 = check_H1(om3)
     assert not verdict3.holds and verdict3.reason == "all-residues-rational"
     # nonconstant class residue counts as irrational
-    om4 = omega_decompose(rf("1/(xi^2 - 3)", F2))
+    om4 = omega(rf("1/(xi^2 - 3)", F2))
     assert check_H1(om4).holds
 
 
@@ -615,9 +617,9 @@ def test_certify_expands_kappa_only_to_the_firing_order(F2):
 
 
 def test_certify_factors_each_pole_class_once(F2, monkeypatch):
-    """The quartic pole class of kappa_1 reaches sympy once per
-    certificate: kappa_2 is divided by it, and nothing is kept from one
-    certificate for the next."""
+    """The quartic pole class reaches sympy once per certificate, in the
+    factorization of a_0, and nothing is kept from one certificate for
+    the next."""
     from artifact.exactalg import factorization
     from artifact.expr import parse_bipoly
     from artifact.varcalc import CurveData, PlanarSystem
@@ -639,6 +641,32 @@ def test_certify_factors_each_pole_class_once(F2, monkeypatch):
     assert calls == [xp(1, 1, 0, 0, 1)]
     certify(system, curve, K=25)
     assert len(calls) == 2
+
+
+def test_certify_calls_factor_irreducible_once(F2, rt2, monkeypatch):
+    """One certificate factors one polynomial, a_0; every kappa_k pole
+    class is read off its factors, at every order the battery reaches."""
+    import sys
+
+    from artifact.exactalg import factorization
+
+    calls = []
+    factor = factorization.factor_irreducible
+
+    def counted(a):
+        calls.append(a)
+        return factor(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artifact") and (
+            getattr(module, "factor_irreducible", None) is factor
+        ):
+            monkeypatch.setattr(module, "factor_irreducible", counted)
+    params = DoubleHopfParams(F2, 1, rt2, 1, 1)
+    system, curve = double_hopf_system(params, chart=1)
+    cert = certify(system, curve, K=25)
+    assert cert.status == "inconclusive" and len(cert.orders) == 24
+    assert calls == [system.P.row(0)]
 
 
 def test_certify_inconclusive_h1(F2):
@@ -720,7 +748,7 @@ def test_scan_vanishing_rho_is_the_b1_resonance(F2):
     class, so criterion (ii) fires before rho is ever built."""
     k1 = rf("1/(xi - 1)", F2)
     kk = rf("1/(xi - 1)^3", F2)
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     assert len(part.shared) == 1 and part.shared[0].a1 == 2
     assert build_rho(k1, part, 3).is_zero()
     prof = simplicity_profile(k1, part, 3)
@@ -741,7 +769,7 @@ def test_polynomial_solution_with_zero_rho(F2):
 
 def test_scan_zero_kappa1_precondition(F2):
     kk = rf("1/(xi - 1)", F2)
-    part = partition_roots(RatFunc.zero(2), kk, [])
+    part = partition(RatFunc.zero(2), kk)
     prof = simplicity_profile(RatFunc.zero(2), part, 2)
     out = criterion_scan(2, RatFunc.zero(2), kk, part, prof)
     assert out.fired is None

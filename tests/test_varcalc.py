@@ -2,11 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from artifact.exactalg import BiPoly, RatFunc, UPoly, eval_mod, pole_classes
+from artifact.exactalg import (
+    BiPoly,
+    FieldSpec,
+    RatFunc,
+    UPoly,
+    eval_mod,
+)
 from artifact.expr import parse_bipoly, parse_ratfunc
 from artifact.unfoldings import (
     DoubleHopfParams,
@@ -21,12 +26,17 @@ from artifact.varcalc import (
     CurveInSingularLocusError,
     PlanarSystem,
     kappa_coefficients,
-    omega_decompose,
-    verify_integral_curve,
 )
 
 from conftest import rand_scalar, rand_upoly
-from oracles import kappa_by_differentiation
+from oracles import (
+    eval_eta,
+    is_integral_curve,
+    kappa_by_differentiation,
+    kappa_by_recurrence,
+    omega,
+    pole_classes,
+)
 
 
 def make_system(F, p_text, q_text, phi_text="0"):
@@ -38,20 +48,34 @@ def make_system(F, p_text, q_text, phi_text="0"):
 
 
 def test_verify_integral_curve(F2):
-    system, curve = make_system(F2, "eta^2 + xi^2 - 1", "rt*xi*eta + eta")
-    assert verify_integral_curve(system, curve)
-    system2, curve2 = make_system(F2, "1", "xi - eta")
-    assert not verify_integral_curve(system2, curve2)
-    # nonzero rational curve: eta = 1/xi solves eta' = -eta/xi under P=xi... use
-    # P = xi, Q = -eta: (1/xi)' = -1/xi^2 and Q/P = -1/xi^2 on the curve.
-    system3, curve3 = make_system(F2, "xi", "-eta", "1/xi")
-    assert verify_integral_curve(system3, curve3)
+    """kappa_coefficients accepts exactly the curves that the
+    substitution oracle finds integral."""
+    cases = [
+        ("eta^2 + xi^2 - 1", "rt*xi*eta + eta", "0", True),
+        ("1", "xi - eta", "0", False),
+        # P = xi, Q = -eta: (1/xi)' = -1/xi^2 = Q/P on eta = 1/xi
+        ("xi", "-eta", "1/xi", True),
+        ("xi", "eta", "1/xi", False),
+        # eta = xi/(xi + 1) under P = (xi + 1)^2, Q = 1: a non-monic
+        # numerator over a nonconstant denominator
+        ("xi^2 + 2*xi + 1", "1", "xi/(xi + 1)", True),
+        ("xi^2 + 2*xi + 1 + eta", "1", "xi/(xi + 1)", False),
+    ]
+    for p_text, q_text, phi_text, integral in cases:
+        system, curve = make_system(F2, p_text, q_text, phi_text)
+        assert is_integral_curve(system, curve) == integral
+        if integral:
+            kappa_coefficients(system, curve, 3)
+        else:
+            with pytest.raises(ValueError, match="not an integral curve"):
+                kappa_coefficients(system, curve, 3)
 
 
 def test_singular_curve_rejected(F2):
     system, curve = make_system(F2, "eta", "xi")
     with pytest.raises(CurveInSingularLocusError):
-        verify_integral_curve(system, curve)
+        kappa_coefficients(system, curve, 3)
+    system, curve = make_system(F2, "xi*eta - 1", "eta", "1/xi")
     with pytest.raises(CurveInSingularLocusError):
         kappa_coefficients(system, curve, 3)
 
@@ -86,7 +110,7 @@ def test_kappa_series_matches_differentiation_oracle(F2):
             P=BiPoly(p_rows, 2), Q=BiPoly(q_rows, 2), field=F2
         )
         curve = CurveData(phi=RatFunc.zero(2))
-        if system.P.eval_eta(curve.phi).is_zero():
+        if eval_eta(system.P, curve.phi).is_zero():
             continue
         data = kappa_coefficients(system, curve, 3)
         oracle = kappa_by_differentiation(system, curve, 3)
@@ -104,7 +128,7 @@ def test_kappa_requires_positive_order(F2):
 def test_omega_decompose_simple_poles(F2, rt2):
     # kappa_1 = (rt*xi + 1)/(xi^2 - 1): residues (1 + rt)/2 at 1, (rt - 1)/2 at -1
     f = parse_ratfunc("(rt*xi + 1)/(xi^2 - 1)", F2)
-    om = omega_decompose(f)
+    om = omega(f)
     assert om.exp_part.is_zero()
     got = {}
     for entry in om.residues:
@@ -120,7 +144,7 @@ def test_omega_decompose_simple_poles(F2, rt2):
 def test_omega_decompose_exponential_part(F2):
     # kappa_1 = 1/xi^2 + 3/xi: E = -1/xi, residue 3
     f = parse_ratfunc("(3*xi + 1)/(xi^2)", F2)
-    om = omega_decompose(f)
+    om = omega(f)
     assert om.exp_part == parse_ratfunc("-1/xi", F2)
     assert len(om.residues) == 1
     assert om.residues[0].residue.coeff(0) == F2(3)
@@ -130,7 +154,7 @@ def test_omega_decompose_exponential_part(F2):
 def test_omega_decompose_polynomial_part_integrates(F2):
     # kappa_1 = 2*xi + 1/(xi-1): E = xi^2
     f = parse_ratfunc("(2*xi^2 - 2*xi + 1)/(xi - 1)", F2)
-    om = omega_decompose(f)
+    om = omega(f)
     assert om.exp_part == RatFunc.from_poly(UPoly([0, 0, 1], 2))
     assert om.residues[0].residue.coeff(0) == F2(1)
 
@@ -142,9 +166,8 @@ def test_omega_reconstruct_identity_random(F2):
     checked = 0
     for _ in range(40):
         f = rand_ratfunc(rng, F2, max_degree=4)
-        om = omega_decompose(f)
+        om = omega(f)
         assert om.reconstruct() == f
-        assert list(om.classes) == pole_classes(f)
         checked += 1
     assert checked == 40
 
@@ -152,31 +175,17 @@ def test_omega_reconstruct_identity_random(F2):
 def test_omega_nonconstant_class_residue(F2):
     # kappa_1 = xi/(xi^2 - 3): conjugate roots +-sqrt(3) carry residues
     # r/(2r) = 1/2 each -> constant class residue 1/2, rational.
-    om = omega_decompose(parse_ratfunc("xi/(xi^2 - 3)", F2))
+    om = omega(parse_ratfunc("xi/(xi^2 - 3)", F2))
     assert len(om.residues) == 1
     assert om.residues[0].cls.factor.degree == 2
     assert om.residues[0].residue.coeff(0) == F2(Fraction(1, 2))
     assert om.residues[0].is_rational_number()
     # kappa_1 = 1/(xi^2 - 3): residues +-1/(2 sqrt 3) differ by conjugation
-    om2 = omega_decompose(parse_ratfunc("1/(xi^2 - 3)", F2))
+    om2 = omega(parse_ratfunc("1/(xi^2 - 3)", F2))
     entry = om2.residues[0]
     assert entry.residue.degree == 1  # genuinely nonconstant in K[xi]/(p)
     assert entry.constant_value() is None
     assert not entry.is_rational_number()
-
-
-def eager_kappas(sys, curve, K):
-    """Reference: the whole series to order K in one pass, every term of
-    the recurrence summed, as kappa_coefficients once did up front."""
-    p_series = sys.P.shift_eta(curve.phi, K)
-    q_series = sys.Q.shift_eta(curve.phi, K)
-    r_series = [q_series[0] / p_series[0]]
-    for k in range(1, K + 1):
-        acc = q_series[k]
-        for i in range(1, k + 1):
-            acc = acc - p_series[i] * r_series[k - i]
-        r_series.append(acc / p_series[0])
-    return [factorial(k) * r_series[k] for k in range(1, K + 1)]
 
 
 OUT_OF_ORDER = (5, 2, 6, 3, 1)
@@ -196,7 +205,7 @@ def test_lazy_kappa_out_of_order_closed_forms(F2, rt2):
         ),
     ]
     for (system, curve), closed_form in cases:
-        eager = eager_kappas(system, curve, K)
+        eager = kappa_by_recurrence(system, curve, K)
         # the oracle squares the denominator per order; keep it to k <= 3
         oracle = kappa_by_differentiation(system, curve, 3)
         data = kappa_coefficients(system, curve, K)
@@ -220,9 +229,9 @@ def test_lazy_kappa_out_of_order_random_system(F2):
         Q = P * phi.derivative() + (eta - phi) * S
         system = PlanarSystem(P=P, Q=Q, field=F2)
         curve = CurveData(phi=RatFunc.from_poly(phi))
-        if not P.eval_eta(curve.phi).is_zero():
+        if not eval_eta(P, curve.phi).is_zero():
             break
-    eager = eager_kappas(system, curve, K)
+    eager = kappa_by_recurrence(system, curve, K)
     oracle = kappa_by_differentiation(system, curve, K)
     data = kappa_coefficients(system, curve, K)
     for k in OUT_OF_ORDER:
@@ -249,3 +258,69 @@ def test_kappa_with_zero_q(F2):
     system, curve = make_system(F2, "xi + eta", "0")
     data = kappa_coefficients(system, curve, 3)
     assert all(data.kappa(k).is_zero() for k in (3, 1, 2))
+
+
+def _random_system_on_rational_curve(rng, field):
+    """A random system with the integral curve eta = u/v, v nonconstant.
+
+    P = v^2 * P1 and Q = (u'v - uv') * P1 + (v*eta - u) * S give
+    Q(xi, phi) = phi' * P(xi, phi) for any P1, S.  Degrees and
+    coefficients stay small because the oracle's gcds grow fast.
+    """
+    d = field.d
+    eta = BiPoly.var_eta(d)
+    while True:
+        u = UPoly([rand_scalar(rng, field, 2) for _ in range(2)], d)
+        v = UPoly([rand_scalar(rng, field, 2), 1], d)
+        phi = RatFunc(u, v)
+        if phi.den.degree < 1:
+            continue
+        P1 = BiPoly(
+            [rand_upoly(rng, field, 1), rand_upoly(rng, field, 1, True)], d
+        )
+        S = BiPoly(
+            [UPoly.constant(rand_scalar(rng, field, 2, True), d)] * 2, d
+        )
+        u, v = phi.num, phi.den
+        P = P1 * (v * v)
+        Q = P1 * (u.derivative() * v - u * v.derivative()) + (eta * v - u) * S
+        if P.is_zero():
+            continue
+        system = PlanarSystem(P=P, Q=Q, field=field)
+        curve = CurveData(phi=phi)
+        if not eval_eta(P, phi).is_zero():
+            return system, curve
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, -3])
+def test_kappa_matches_ratfunc_recurrence_on_rational_curves(d):
+    """The polynomial expansion reduced by valuations gives the kappa_k
+    of the reduced-RatFunc recurrence, and its pole classes are the
+    factorization of each kappa_k denominator."""
+    field = FieldSpec(d)
+    rng = random.Random(400 + d)
+    K = 8
+    for _ in range(4):
+        system, curve = _random_system_on_rational_curve(rng, field)
+        assert is_integral_curve(system, curve)
+        expected = kappa_by_recurrence(system, curve, K)
+        data = kappa_coefficients(system, curve, K)
+        for k in range(1, K + 1):
+            assert data.kappa(k) == expected[k - 1]
+            assert list(data.classes(k)) == pole_classes(expected[k - 1])
+
+
+def test_kappa_high_multiplicity_closed_form(F2, rt2):
+    """dh1(1, rt, 1, 1) to K = 25: kappa_25 has the classes xi - 1 and
+    xi + 1 at multiplicity 13 against 1 in a_0, and at every odd order
+    the factor xi of a_2 must be divided out of the numerator once."""
+    params = DoubleHopfParams(F2, mu=F2(1), nu=rt2, alpha=F2(1), beta=F2(1))
+    system, curve = double_hopf_system(params, chart=1)
+    K = 25
+    data = kappa_coefficients(system, curve, K)
+    for k in range(1, K + 1):
+        expected = double_hopf_kappa(params, k)
+        assert data.kappa(k) == expected
+        assert list(data.classes(k)) == pole_classes(expected)
+    assert max(c.multiplicity for c in data.classes(K)) == 13
+
