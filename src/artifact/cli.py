@@ -9,6 +9,13 @@ Subcommands:
 * ``sweep <file>`` — run a parameter grid (section ``[sweep]``) against a
   builtin family and print a summary.
 
+The builtin families come from ``unfoldings.FAMILIES``.  A family's
+parameters (its dataclass fields after ``field``, in declaration order)
+are its ``[system]`` keys, its subcommand flags, its sweep axes and the
+keys of the ``params`` echo; a parameter without a default is required,
+``s`` is a sign and every other parameter a scalar.  ``chart`` is a key
+and a flag only for a family with more than one chart.
+
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
 method does not apply (irregular at infinity), 4 = input/usage error,
 5 = internal error (an exact self-check of the pipeline failed, or the
@@ -33,7 +40,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
@@ -54,12 +61,7 @@ from .expr import (
     parse_bipoly,
     parse_expression,
 )
-from .unfoldings import (
-    DoubleHopfParams,
-    FoldHopfParams,
-    double_hopf_system,
-    fold_hopf_system,
-)
+from .unfoldings import FAMILIES, DoubleHopfParams, Family, FoldHopfParams
 from .varcalc import CurveData, InvalidInputError, PlanarSystem
 
 EXIT_NONINTEGRABLE = 0
@@ -137,6 +139,13 @@ def _parse_sign(text: str, what: str) -> int:
     return s
 
 
+def _parse_param(name: str, text: str, field: FieldSpec, what: str):
+    """A family parameter: s is a sign, every other parameter a scalar."""
+    if name == "s":
+        return _parse_sign(text, what)
+    return _parse_scalar(text, field, what)
+
+
 def _validate_max_order(k: int) -> int:
     if not 2 <= k <= MAX_ORDER_CAP:
         raise UsageError(f"max order must lie in 2..{MAX_ORDER_CAP}, got {k}")
@@ -157,6 +166,13 @@ def _default_max_order() -> int:
 # ---------------------------------------------------------------------------
 # SystemSpec
 # ---------------------------------------------------------------------------
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise UsageError(f"unknown family: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -187,12 +203,8 @@ class SystemSpec:
         _validate_max_order(self.max_order)
 
     def build(self) -> Tuple[PlanarSystem, CurveData]:
-        if self.family == FAMILY_FOLD_HOPF:
-            return fold_hopf_system(self.params)
-        if self.family == FAMILY_DOUBLE_HOPF:
-            return double_hopf_system(self.params, chart=self.chart)
         if self.family is not None:
-            raise UsageError(f"unknown family: {self.family!r}")
+            return _family(self.family).build(self.params, self.chart)
         try:
             system = PlanarSystem(
                 P=self.P, Q=self.Q, field=self.field, label="inline system"
@@ -211,9 +223,15 @@ class SystemSpec:
         if self.family is not None:
             echo["mode"] = "builtin"
             echo["family"] = self.family
-            if self.family == FAMILY_DOUBLE_HOPF:
+            family = _family(self.family)
+            if len(family.charts) > 1:
                 echo["chart"] = self.chart
-            echo["params"] = _params_echo(self.params)
+            params = self.params
+            echo["params"] = {
+                f.name: params.s if f.name == "s"
+                else format_scalar(getattr(params, f.name))
+                for f in family.parameters
+            }
         else:
             echo["mode"] = "inline"
         echo["system"] = {
@@ -223,29 +241,6 @@ class SystemSpec:
         }
         echo["max_order"] = self.max_order
         return echo
-
-
-def _params_echo(
-    params: Union[FoldHopfParams, DoubleHopfParams]
-) -> Dict[str, object]:
-    if isinstance(params, FoldHopfParams):
-        return {
-            "mu": format_scalar(params.mu),
-            "nu": format_scalar(params.nu),
-            "alpha": format_scalar(params.alpha),
-            "s": params.s,
-            "beta": format_scalar(params.beta),
-            "omega": format_scalar(params.omega),
-        }
-    return {
-        "mu": format_scalar(params.mu),
-        "nu": format_scalar(params.nu),
-        "alpha": format_scalar(params.alpha),
-        "beta": format_scalar(params.beta),
-        "s": params.s,
-        "omega1": format_scalar(params.omega1),
-        "omega2": format_scalar(params.omega2),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +539,12 @@ def sweep_json(
 
 _KNOWN_SECTIONS = {"field", "system", "check", "sweep"}
 _INLINE_KEYS = {"p", "q", "phi"}
-_FOLD_HOPF_KEYS = {"family", "mu", "nu", "alpha", "s", "beta", "omega"}
-_DOUBLE_HOPF_KEYS = {
-    "family",
-    "chart",
-    "mu",
-    "nu",
-    "alpha",
-    "beta",
-    "s",
-    "omega1",
-    "omega2",
-}
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
+def _read_config(
+    path: str, max_order_flag: Optional[int]
+) -> Tuple[configparser.ConfigParser, FieldSpec, int, Dict[str, str]]:
+    """A config file with its field, its max order and its [system]."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         loaded = parser.read(path)
@@ -571,7 +557,11 @@ def _read_config(path: str) -> configparser.ConfigParser:
         raise UsageError(
             f"unknown config sections: {', '.join(sorted(unknown))}"
         )
-    return parser
+    field = _field_from_config(parser)
+    max_order = _max_order_from_config(parser, max_order_flag)
+    if not parser.has_section("system"):
+        raise UsageError("config needs a [system] section")
+    return parser, field, max_order, dict(parser.items("system"))
 
 
 def _field_from_config(parser: configparser.ConfigParser) -> FieldSpec:
@@ -613,80 +603,55 @@ def _max_order_from_config(
     return _default_max_order()
 
 
-def _builtin_params(
-    family: str,
+def _builtin_spec(
     options: Dict[str, str],
     field: FieldSpec,
-) -> Tuple[Union[FoldHopfParams, DoubleHopfParams], int]:
-    def scalar(name: str, default: Optional[str] = None) -> Optional[QuadExt]:
-        if name not in options:
-            if default is None:
-                raise UsageError(f"[system] missing parameter: {name}")
-            if default == "":
-                return None
-            return _parse_scalar(default, field, f"[system] {name}")
-        return _parse_scalar(options[name], field, f"[system] {name}")
-
-    s = _parse_sign(options.get("s", "1"), "[system] s")
+    max_order: int,
+    swept: Optional[Dict[str, object]] = None,
+) -> SystemSpec:
+    """The builtin-family request of a [system] section.  swept gives a
+    value to each parameter a sweep varies, which [system] may omit."""
+    name = options["family"].strip()
+    family = _family(name)
+    allowed = {"family"} | {f.name for f in family.parameters}
     chart = 1
-    if family == FAMILY_FOLD_HOPF:
-        allowed = _FOLD_HOPF_KEYS
-        params: Union[FoldHopfParams, DoubleHopfParams] = FoldHopfParams(
-            field=field,
-            mu=scalar("mu"),
-            nu=scalar("nu"),
-            alpha=scalar("alpha"),
-            s=s,
-            beta=scalar("beta", ""),
-            omega=scalar("omega", ""),
-        )
-    elif family == FAMILY_DOUBLE_HOPF:
-        allowed = _DOUBLE_HOPF_KEYS
+    if len(family.charts) > 1:
+        allowed.add("chart")
         if "chart" in options:
             try:
                 chart = int(options["chart"])
             except ValueError:
-                raise UsageError("[system] chart must be 1 or 2")
-            if chart not in (1, 2):
-                raise UsageError("[system] chart must be 1 or 2")
-        params = DoubleHopfParams(
-            field=field,
-            mu=scalar("mu"),
-            nu=scalar("nu"),
-            alpha=scalar("alpha"),
-            beta=scalar("beta"),
-            s=s,
-            omega1=scalar("omega1", ""),
-            omega2=scalar("omega2", ""),
-        )
-    else:
-        raise UsageError(f"unknown family: {family!r}")
+                chart = None
+            if chart not in family.charts:
+                shown = " or ".join(str(c) for c in family.charts)
+                raise UsageError(f"[system] chart must be {shown}")
+    values = dict(swept or {})
+    for f in family.parameters:
+        if f.name in options:
+            values[f.name] = _parse_param(
+                f.name, options[f.name], field, f"[system] {f.name}"
+            )
+        elif f.name not in values and f.default is MISSING:
+            raise UsageError(f"[system] missing parameter: {f.name}")
     extra = set(options) - allowed
     if extra:
         raise UsageError(
             f"unknown keys in [system]: {', '.join(sorted(extra))}"
         )
-    return params, chart
+    return SystemSpec(
+        field=field,
+        max_order=max_order,
+        family=name,
+        chart=chart,
+        params=family.params(field, **values),
+    )
 
 
 def load_config(path: str, max_order_flag: Optional[int] = None) -> SystemSpec:
     """Parse a check config file into a SystemSpec."""
-    parser = _read_config(path)
-    field = _field_from_config(parser)
-    max_order = _max_order_from_config(parser, max_order_flag)
-    if not parser.has_section("system"):
-        raise UsageError("config needs a [system] section")
-    options = dict(parser.items("system"))
+    _, field, max_order, options = _read_config(path, max_order_flag)
     if "family" in options:
-        family = options["family"].strip()
-        params, chart = _builtin_params(family, options, field)
-        return SystemSpec(
-            field=field,
-            max_order=max_order,
-            family=family,
-            chart=chart,
-            params=params,
-        )
+        return _builtin_spec(options, field, max_order)
     extra = set(options) - _INLINE_KEYS
     if extra:
         raise UsageError(
@@ -711,49 +676,26 @@ def load_sweep_config(
 ) -> Tuple[SystemSpec, List[Tuple[str, List[object]]]]:
     """Parse a sweep config: a builtin [system] template plus a [sweep]
     section whose keys are parameter names and values comma-separated
-    scalar expressions."""
-    parser = _read_config(path)
-    field = _field_from_config(parser)
-    max_order = _max_order_from_config(parser, max_order_flag)
-    if not parser.has_section("system"):
-        raise UsageError("config needs a [system] section")
-    options = dict(parser.items("system"))
+    parameter values.  The template may omit a swept parameter."""
+    parser, field, max_order, options = _read_config(path, max_order_flag)
     if "family" not in options:
         raise UsageError("sweep requires a builtin family in [system]")
-    family = options["family"].strip()
-    swept_names: List[str] = (
-        list(parser.options("sweep")) if parser.has_section("sweep") else []
-    )
-    allowed = (
-        _FOLD_HOPF_KEYS if family == FAMILY_FOLD_HOPF else _DOUBLE_HOPF_KEYS
-    )
-    for name in swept_names:
-        if name not in allowed - {"family", "chart"}:
-            raise UsageError(f"[sweep] cannot sweep over {name!r}")
-        # Template values for swept axes are placeholders; fill if absent.
-        options.setdefault(name, "0")
-    params, chart = _builtin_params(family, options, field)
-    template = SystemSpec(
-        field=field,
-        max_order=max_order,
-        family=family,
-        chart=chart,
-        params=params,
-    )
+    family = _family(options["family"].strip())
+    names = [f.name for f in family.parameters]
     axes: List[Tuple[str, List[object]]] = []
-    for name in swept_names:
-        raw = parser.get("sweep", name)
+    for name in parser.options("sweep") if parser.has_section("sweep") else []:
+        if name not in names:
+            raise UsageError(f"[sweep] cannot sweep over {name!r}")
         values: List[object] = []
-        for piece in raw.split(","):
+        for piece in parser.get("sweep", name).split(","):
             piece = piece.strip()
             if not piece:
                 raise UsageError(f"[sweep] {name}: empty value in list")
-            if name == "s":
-                values.append(_parse_sign(piece, f"[sweep] {name}"))
-            else:
-                values.append(_parse_scalar(piece, field, f"[sweep] {name}"))
+            values.append(_parse_param(name, piece, field, f"[sweep] {name}"))
         axes.append((name, values))
-    return template, axes
+    # Each axis's first value stands in for the template's own.
+    swept = {name: values[0] for name, values in axes}
+    return _builtin_spec(options, field, max_order, swept), axes
 
 
 # ---------------------------------------------------------------------------
@@ -865,29 +807,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(check)
     check.set_defaults(handler=_cmd_check)
 
-    fh = sub.add_parser("fold-hopf", help="certify a fold-Hopf unfolding")
-    fh.add_argument("--mu", required=True)
-    fh.add_argument("--nu", required=True)
-    fh.add_argument("--alpha", required=True)
-    fh.add_argument("--s", type=int, choices=(1, -1), default=1)
-    fh.add_argument("--beta", default=None)
-    fh.add_argument("--omega", default=None)
-    fh.add_argument("--d", type=int, default=1, help="field discriminant")
-    _add_common_flags(fh)
-    fh.set_defaults(handler=_cmd_fold_hopf)
-
-    dh = sub.add_parser("double-hopf", help="certify a double-Hopf unfolding")
-    dh.add_argument("--mu", required=True)
-    dh.add_argument("--nu", required=True)
-    dh.add_argument("--alpha", required=True)
-    dh.add_argument("--beta", required=True)
-    dh.add_argument("--s", type=int, choices=(1, -1), default=1)
-    dh.add_argument("--chart", type=int, choices=(1, 2), default=1)
-    dh.add_argument("--omega1", default=None)
-    dh.add_argument("--omega2", default=None)
-    dh.add_argument("--d", type=int, default=1, help="field discriminant")
-    _add_common_flags(dh)
-    dh.set_defaults(handler=_cmd_double_hopf)
+    for name, family in FAMILIES.items():
+        sp = sub.add_parser(name, help=f"certify a {name} unfolding")
+        for f in family.parameters:
+            sign = {"type": int, "choices": (1, -1)} if f.name == "s" else {}
+            if f.default is MISSING:
+                sp.add_argument(f"--{f.name}", required=True, **sign)
+            else:
+                sp.add_argument(f"--{f.name}", default=f.default, **sign)
+        if len(family.charts) > 1:
+            sp.add_argument(
+                "--chart", type=int, choices=family.charts, default=1
+            )
+        sp.add_argument("--d", type=int, default=1, help="field discriminant")
+        _add_common_flags(sp)
+        sp.set_defaults(handler=_cmd_family)
 
     sw = sub.add_parser("sweep", help="run a parameter grid from a config file")
     sw.add_argument("file", help="INI config with a [sweep] section")
@@ -903,66 +837,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _field_from_flag(d: int) -> FieldSpec:
+def _cmd_family(args: argparse.Namespace) -> int:
+    family = FAMILIES[args.command]
     try:
-        return FieldSpec(d)
+        field = FieldSpec(args.d)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _flag_max_order(flag: Optional[int]) -> int:
-    if flag is not None:
-        return _validate_max_order(flag)
-    return _default_max_order()
-
-
-def _cmd_fold_hopf(args: argparse.Namespace) -> int:
-    field = _field_from_flag(args.d)
-
-    def scalar(text: Optional[str], what: str) -> Optional[QuadExt]:
-        return None if text is None else _parse_scalar(text, field, what)
-
-    params = FoldHopfParams(
-        field=field,
-        mu=scalar(args.mu, "--mu"),
-        nu=scalar(args.nu, "--nu"),
-        alpha=scalar(args.alpha, "--alpha"),
-        s=args.s,
-        beta=scalar(args.beta, "--beta"),
-        omega=scalar(args.omega, "--omega"),
-    )
+    values = {}
+    for f in family.parameters:
+        value = getattr(args, f.name)
+        if f.name != "s" and value is not None:
+            value = _parse_scalar(value, field, f"--{f.name}")
+        values[f.name] = value
+    params = family.params(field, **values)
     spec = SystemSpec(
         field=field,
-        max_order=_flag_max_order(args.max_order),
-        family=FAMILY_FOLD_HOPF,
-        params=params,
-    )
-    report = run_check(spec)
-    _emit(report, args.json_path)
-    return report.exit_code
-
-
-def _cmd_double_hopf(args: argparse.Namespace) -> int:
-    field = _field_from_flag(args.d)
-
-    def scalar(text: Optional[str], what: str) -> Optional[QuadExt]:
-        return None if text is None else _parse_scalar(text, field, what)
-
-    params = DoubleHopfParams(
-        field=field,
-        mu=scalar(args.mu, "--mu"),
-        nu=scalar(args.nu, "--nu"),
-        alpha=scalar(args.alpha, "--alpha"),
-        beta=scalar(args.beta, "--beta"),
-        s=args.s,
-        omega1=scalar(args.omega1, "--omega1"),
-        omega2=scalar(args.omega2, "--omega2"),
-    )
-    spec = SystemSpec(
-        field=field,
-        max_order=_flag_max_order(args.max_order),
-        family=FAMILY_DOUBLE_HOPF,
-        chart=args.chart,
+        max_order=(
+            _default_max_order() if args.max_order is None else args.max_order
+        ),
+        family=args.command,
+        chart=getattr(args, "chart", 1),
         params=params,
     )
     report = run_check(spec)

@@ -52,13 +52,6 @@ STATUS_NONINTEGRABLE = "nonintegrable"
 STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_INAPPLICABLE = "inapplicable"
 
-#: Evaluation order of the battery.  The cheap class tests run first;
-#: the degree tests (iv)-(vi) run before the ODE catch-all (iii), which
-#: is both the most expensive test and the one whose failure doubles as
-#: an H2 refutation, so it is meaningful only as the last resort.
-SCAN_ORDER = ("i", "ii", "iv", "v", "vi", "iii")
-
-
 class SkipOrder(ValueError):
     """kappa_k vanishes identically; order k carries no information."""
 
@@ -180,11 +173,6 @@ class ClassSimplicity:
     factor: UPoly
     a1: int
     bad_b: Optional[QuadExt]
-
-    @property
-    def simple_at_b1(self) -> bool:
-        """Simple when its multiplier is set to 1 (the all-ones tuple)."""
-        return self.bad_b is None or self.bad_b != 1
 
     @property
     def simple_for_all_b(self) -> bool:
@@ -407,14 +395,6 @@ def _ode_solutions(
     return particular, (UPoly(q, d) if q is not None else None)
 
 
-def polynomial_solution(
-    A: UPoly, rho: UPoly, rhs: UPoly
-) -> Optional[UPoly]:
-    """A polynomial z with A z' + rho z = rhs, or None if none exists."""
-    particular, _ = _ode_solutions(A, rho, rhs)
-    return particular
-
-
 def _coprime_solution(
     A: UPoly, rho: UPoly, rhs: UPoly, part: RootPartition
 ) -> Optional[UPoly]:
@@ -526,11 +506,13 @@ def criterion_scan(
 ) -> CriterionOutcome:
     """Run the battery at order k; first firing criterion wins.
 
-    Order: the class tests (i), (ii); then, under the simplicity
+    Order: the cheap class tests (i), (ii); then, under the simplicity
     hypothesis for multipliers > 1, the degree tests (iv), (v), (vi) and
-    finally the ODE test (iii).  When (iii) is reached and a coprime
-    polynomial solution exists, that solution refutes H2 at this order
-    and is attached as a witness instead of a firing.
+    finally the ODE test (iii).  (iii) runs last because it is the most
+    expensive test and its failure doubles as an H2 refutation: when
+    (iii) is reached and a coprime polynomial solution exists, that
+    solution refutes H2 at this order and is attached as a witness
+    instead of a firing.
     """
     def outcome(**kw) -> CriterionOutcome:
         return CriterionOutcome(k=k, partition=part, simplicity=prof, **kw)

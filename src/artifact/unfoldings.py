@@ -14,6 +14,10 @@ as an integral curve:
   obtained by exchanging the roles of r1 and r2 and rescaling the new
   transverse coordinate so the coefficients stay in the base field.
 
+``FAMILIES`` names both families.  Each row holds the parameter
+dataclass, whose fields after ``field`` are the family's parameters in
+declaration order, the charts, and the builder of one chart.
+
 The module also evaluates, by exact membership tests, the parameter
 clauses under which these families are certified nonintegrable, for
 cross-validation of the certifier against closed-form expectations.
@@ -22,14 +26,13 @@ cross-validation of the certifier against closed-form expectations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import Field, dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exactalg import (
     BiPoly,
     FieldSpec,
     QuadExt,
-    Rat,
     RatFunc,
     UPoly,
     is_rational_square,
@@ -37,11 +40,18 @@ from .exactalg import (
 from .expr import format_scalar
 from .varcalc import CurveData, PlanarSystem
 
-ParamValue = Union[Rat, QuadExt]
 
-
-def _coerced(field: FieldSpec, value: Optional[ParamValue]) -> QuadExt:
-    return field(0 if value is None else value)
+def _check_params(p) -> None:
+    """The shared __post_init__: s must be a sign, and every other
+    parameter becomes an element of p.field (None reads as 0)."""
+    if p.s not in (1, -1):
+        raise ValueError("s must be +1 or -1")
+    for f in fields(p)[1:]:
+        if f.name != "s":
+            value = getattr(p, f.name)
+            object.__setattr__(
+                p, f.name, p.field(0 if value is None else value)
+            )
 
 
 @dataclass(frozen=True)
@@ -60,13 +70,7 @@ class FoldHopfParams:
     beta: Optional[QuadExt] = None
     omega: Optional[QuadExt] = None
 
-    def __post_init__(self):
-        if self.s not in (1, -1):
-            raise ValueError("s must be +1 or -1")
-        for name in ("mu", "nu", "alpha", "beta", "omega"):
-            object.__setattr__(
-                self, name, _coerced(self.field, getattr(self, name))
-            )
+    __post_init__ = _check_params
 
     def describe(self) -> str:
         return (
@@ -93,13 +97,7 @@ class DoubleHopfParams:
     omega1: Optional[QuadExt] = None
     omega2: Optional[QuadExt] = None
 
-    def __post_init__(self):
-        if self.s not in (1, -1):
-            raise ValueError("s must be +1 or -1")
-        for name in ("mu", "nu", "alpha", "beta", "omega1", "omega2"):
-            object.__setattr__(
-                self, name, _coerced(self.field, getattr(self, name))
-            )
+    __post_init__ = _check_params
 
     def describe(self) -> str:
         return (
@@ -180,6 +178,35 @@ def double_hopf_system(
         label=p.describe() + " [chart 1]",
     )
     return system, CurveData(phi=RatFunc.zero(d))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A builtin unfolding: its parameter dataclass, its charts, and the
+    builder of the reduced system on one chart."""
+
+    params: type
+    charts: Tuple[int, ...]
+    build: Callable[[object, int], Tuple[PlanarSystem, CurveData]]
+
+    @property
+    def parameters(self) -> Tuple[Field, ...]:
+        """The fields of params after `field`, in declaration order."""
+        return fields(self.params)[1:]
+
+
+# Each builder looks its system function up when it runs, so a rebinding
+# of the module global (a tracer's wrapper, say) reaches it.
+FAMILIES: Dict[str, Family] = {
+    "fold-hopf": Family(
+        FoldHopfParams, charts=(1,),
+        build=lambda p, chart: fold_hopf_system(p),
+    ),
+    "double-hopf": Family(
+        DoubleHopfParams, charts=(1, 2),
+        build=lambda p, chart: double_hopf_system(p, chart=chart),
+    ),
+}
 
 
 def fold_hopf_kappa(p: FoldHopfParams, k: int) -> RatFunc:

@@ -1,6 +1,7 @@
 """Command-line interface: configs, JSON documents, exit codes, sweep."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -21,7 +22,7 @@ from artifact.cli import (
     sweep,
 )
 from artifact.exactalg import FieldSpec
-from artifact.unfoldings import FoldHopfParams
+from artifact.unfoldings import FAMILIES, FoldHopfParams
 from artifact.varcalc import CurveInSingularLocusError, InvalidInputError
 
 
@@ -263,6 +264,33 @@ def test_sweep_records_internal_errors(tmp_path, monkeypatch):
     assert all(r.report is not None for r in rows if r.index != 1)
 
 
+# s is a sweep axis and has no value in [system]
+SWEEP_SIGN_INI = """
+[field]
+d = 2
+
+[system]
+family = fold-hopf
+mu = -1
+nu = 1
+
+[sweep]
+alpha = rt, 3
+s = 1, -1
+"""
+
+
+def test_sweep_axis_needs_no_template_value(tmp_path, capsys):
+    path = write(tmp_path, "s.ini", SWEEP_SIGN_INI)
+    template, axes = load_sweep_config(path)
+    assert [name for name, _ in axes] == ["alpha", "s"]
+    rows, summary = sweep(template, axes)
+    assert [row.params["s"] for row in rows] == ["1", "-1"] * 2
+    assert summary["total"] == 4 and summary["errors"] == 0
+    assert main(["sweep", path]) == 0
+    assert "sweep: 4 tuples, 0 errors" in capsys.readouterr().out
+
+
 def test_sweep_requires_family(tmp_path):
     path = write(tmp_path, "s.ini", INLINE_INI + "\n[sweep]\nnu = 1\n")
     with pytest.raises(UsageError):
@@ -341,6 +369,44 @@ def test_main_double_hopf_charts(capsys):
     assert main(base + ["--chart", "2"]) == EXIT_NONINTEGRABLE
     out2 = capsys.readouterr().out
     assert "chart 2" in out2
+
+
+# Every parameter of each family, as flag and config text.
+FAMILY_VALUES = {
+    "fold-hopf": {"mu": "-1", "nu": "1", "alpha": "rt", "s": "-1",
+                  "beta": "2", "omega": "1/3"},
+    "double-hopf": {"mu": "1", "nu": "rt", "alpha": "1/2", "beta": "1",
+                    "s": "1", "omega1": "3", "omega2": "rt"},
+}
+FAMILY_CHARTS = [
+    (name, chart) for name, family in FAMILIES.items()
+    for chart in family.charts
+]
+
+
+@pytest.mark.parametrize(
+    "name, chart", FAMILY_CHARTS,
+    ids=[f"{name}-chart{chart}" for name, chart in FAMILY_CHARTS],
+)
+def test_flags_and_config_agree(tmp_path, capsys, name, chart):
+    family = FAMILIES[name]
+    values = dict(FAMILY_VALUES[name])
+    if len(family.charts) > 1:
+        values["chart"] = str(chart)
+    argv = [name, "--d", "2"]
+    ini = f"[field]\nd = 2\n[system]\nfamily = {name}\n"
+    for key, text in values.items():
+        argv += [f"--{key}", text]
+        ini += f"{key} = {text}\n"
+    code = main(argv + ["--json", "-"])
+    from_flags = capsys.readouterr().out
+    path = write(tmp_path, "a.ini", ini)
+    assert main(["check", path, "--json", "-"]) == code
+    assert capsys.readouterr().out == from_flags
+    echo = json.loads(from_flags)["input_echo"]
+    assert echo["family"] == name
+    assert echo.get("chart", 1) == chart
+    assert list(echo["params"]) == [f.name for f in fields(family.params)[1:]]
 
 
 def test_main_usage_errors(capsys):

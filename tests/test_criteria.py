@@ -15,7 +15,6 @@ from artifact.criteria import (
     check_H1,
     criterion_scan,
     divide_by_rho,
-    polynomial_solution,
     simplicity_profile,
 )
 from artifact.exactalg import (
@@ -135,7 +134,6 @@ def test_simplicity_profile_flags(F2, rt2):
     flags = {tuple(c.factor.coeffs): c for c in prof.classes}
     c_plus = flags[tuple(xp(1, 1).coeffs)]  # xi = -1
     assert c_plus.bad_b == F2(1)
-    assert c_plus.simple_at_b1 is False or c_plus.bad_b == F2(1)
     assert prof.criterion_ii_fires()
 
 
@@ -270,7 +268,7 @@ def test_divide_by_rho_counts_distinct_roots(F2):
 
 def test_polynomial_solution_simple(F2):
     # A = xi^5, rho = xi, rhs = 2 xi: z = 2
-    z = polynomial_solution(UPoly.monomial(1, 5, 2), xp(0, 1), xp(0, 2))
+    z = _ode_solutions(UPoly.monomial(1, 5, 2), xp(0, 1), xp(0, 2))[0]
     assert z == UPoly.constant(F2(2), 2)
 
 
@@ -281,7 +279,7 @@ def test_polynomial_solution_nontrivial(F2, rt2):
     rho = UPoly([-2 * rt2, 0, -3], 2)
     z_true = xp(1, 0, 1)
     rhs = A * z_true.derivative() + rho * z_true
-    z = polynomial_solution(A, rho, rhs)
+    z = _ode_solutions(A, rho, rhs)[0]
     assert z is not None
     assert A * z.derivative() + rho * z == rhs
 
@@ -290,7 +288,7 @@ def test_polynomial_solution_none_when_impossible(F2):
     # A = 1, rho = 0: z' = rhs integrates any rhs -> always solvable; use
     # rho = xi with rhs constant 1: degree bookkeeping forbids a solution
     # z: deg(xi * z) = deg z + 1 = 0 impossible unless z = 0 -> rhs 0.
-    z = polynomial_solution(UPoly.one(2), xp(0, 1), UPoly.one(2))
+    z = _ode_solutions(UPoly.one(2), xp(0, 1), UPoly.one(2))[0]
     assert z is None
 
 
@@ -298,7 +296,7 @@ def test_polynomial_solution_kernel_family(F2):
     # A = xi^2, rho = -2 xi: kernel z = xi^2 (A z' + rho z = 0)
     A = UPoly.monomial(1, 2, 2)
     rho = xp(0, -2)
-    zero = polynomial_solution(A, rho, UPoly.zero(2))
+    zero = _ode_solutions(A, rho, UPoly.zero(2))[0]
     assert zero is not None
     assert (A * zero.derivative() + rho * zero).is_zero()
 
@@ -308,7 +306,7 @@ def test_polynomial_solution_degree_zero_candidate(F2):
     A = xp(0, 0, 1)  # xi^2
     rho = xp(0, 1)  # xi
     rhs = xp(0, 3)  # 3 xi: z = 3 works since rho * 3 = 3 xi
-    z = polynomial_solution(A, rho, rhs)
+    z = _ode_solutions(A, rho, rhs)[0]
     assert z is not None
     assert A * z.derivative() + rho * z == rhs
 
@@ -321,7 +319,7 @@ def test_polynomial_solution_resonant_degree(F2):
     z_true = xp(0, 0, 1)  # xi^2: A*2xi + rho*xi^2 = 2xi^4 - 2xi^4 = 0
     assert (A * z_true.derivative() + rho * z_true).is_zero()
     rhs = A * xp(1, 1).derivative() + rho * xp(1, 1)
-    z = polynomial_solution(A, rho, rhs)
+    z = _ode_solutions(A, rho, rhs)[0]
     assert z is not None
     assert A * z.derivative() + rho * z == rhs
 
@@ -761,8 +759,8 @@ def test_polynomial_solution_with_zero_rho(F2):
     """The degenerate-rho ODE A z' = rhs: solvable exactly when A | the
     antiderivative's derivative data, i.e. rhs/A integrates to a poly."""
     A = xp(-1, 1)  # xi - 1
-    assert polynomial_solution(A, UPoly.zero(2), UPoly.one(2)) is None
-    z = polynomial_solution(A, UPoly.zero(2), xp(-1, 1))
+    assert _ode_solutions(A, UPoly.zero(2), UPoly.one(2))[0] is None
+    z = _ode_solutions(A, UPoly.zero(2), xp(-1, 1))[0]
     assert z is not None
     assert A * z.derivative() == xp(-1, 1)
 
