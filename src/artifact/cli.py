@@ -60,6 +60,7 @@ from .expr import (
     format_scalar,
     parse_bipoly,
     parse_expression,
+    parse_ratfunc,
 )
 from .unfoldings import FAMILIES, DoubleHopfParams, Family, FoldHopfParams
 from .varcalc import CurveData, InvalidInputError, PlanarSystem
@@ -119,14 +120,9 @@ def _parse_bipoly(text: str, field: FieldSpec, what: str) -> BiPoly:
 
 def _parse_curve(text: str, field: FieldSpec, what: str) -> RatFunc:
     try:
-        value = parse_expression(text, field)
+        return parse_ratfunc(text, field)
     except ExprSyntaxError as exc:
         raise UsageError(f"{what}: {exc}") from exc
-    if isinstance(value, RatFunc):
-        return value
-    if value.degree_eta > 0:
-        raise UsageError(f"{what}: the curve must not mention eta")
-    return RatFunc.from_poly(value.row(0))
 
 
 def _parse_sign(text: str, what: str) -> int:
@@ -188,7 +184,6 @@ class SystemSpec:
     family: Optional[str] = None
     chart: int = 1
     params: Union[FoldHopfParams, DoubleHopfParams, None] = None
-    json_path: Optional[str] = None
 
     def __post_init__(self):
         inline = self.P is not None or self.Q is not None
@@ -200,6 +195,17 @@ class SystemSpec:
             )
         if inline and (self.P is None or self.Q is None):
             raise UsageError("an inline system needs both P and Q")
+        if builtin:
+            family = _family(self.family)
+            if self.chart not in family.charts:
+                raise UsageError(
+                    f"family {self.family!r} has no chart {self.chart!r}"
+                )
+            if not isinstance(self.params, family.params):
+                raise UsageError(
+                    f"family {self.family!r} takes {family.params.__name__},"
+                    f" got {type(self.params).__name__}"
+                )
         _validate_max_order(self.max_order)
 
     def build(self) -> Tuple[PlanarSystem, CurveData]:

@@ -31,7 +31,6 @@ from .exactalg import (
     coprime,
     eval_mod,
     inverse_mod,
-    poly_divrem,
     squarefree_part,
 )
 from .varcalc import (
@@ -278,7 +277,7 @@ def divide_by_rho(
     n_bar counts the distinct roots of rho_bar (0 for a constant)."""
     if rho.is_zero():
         raise ValueError("rho vanishes identically (degenerate order)")
-    rho_bar, rho_tilde = poly_divrem(kappakn, rho)
+    rho_bar, rho_tilde = divmod(kappakn, rho)
     if rho_bar.is_constant():
         n_bar = 0
     else:

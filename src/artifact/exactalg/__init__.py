@@ -11,21 +11,17 @@ from .factorization import (
     FactorClass,
     PartialFractions,
     PFTerm,
-    constant_eval_mod,
     coprime,
     eval_mod,
     factor_irreducible,
     partial_fractions,
-    ratfunc_eval_mod,
 )
-from .field import FieldSpec, QuadExt, Rat, is_rational_square
+from .field import FieldSpec, QuadExt, is_rational_square
 from .ratfunc import RatFunc
 from .upoly import (
     NEG_INF,
     UPoly,
     inverse_mod,
-    multiplicity,
-    poly_divrem,
     poly_gcd,
     poly_xgcd,
     squarefree_decompose,
@@ -41,21 +37,16 @@ __all__ = [
     "PFTerm",
     "PartialFractions",
     "QuadExt",
-    "Rat",
     "RatFunc",
     "UPoly",
-    "constant_eval_mod",
     "coprime",
     "eval_mod",
     "factor_irreducible",
     "inverse_mod",
     "is_rational_square",
-    "multiplicity",
     "partial_fractions",
-    "poly_divrem",
     "poly_gcd",
     "poly_xgcd",
-    "ratfunc_eval_mod",
     "squarefree_decompose",
     "squarefree_part",
     "strip_power_of_x",

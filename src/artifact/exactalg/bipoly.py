@@ -148,14 +148,6 @@ class BiPoly:
             n >>= 1
         return result
 
-    # -- evaluation ---------------------------------------------------------------------
-
-    def eval_point(self, xi: Scalar, eta: Scalar) -> QuadExt:
-        acc = QuadExt(0, 0, self.d)
-        for r in reversed(self.rows):
-            acc = acc * eta + r.eval(xi)  # type: ignore[operator]
-        return acc
-
     # -- plumbing -----------------------------------------------------------------------
 
     def __eq__(self, other):

@@ -15,8 +15,9 @@ is ever constructed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .field import QuadExt
 from .ratfunc import RatFunc
@@ -29,6 +30,7 @@ from .upoly import (
 )
 
 
+@dataclass(frozen=True)
 class FactorClass:
     """A monic irreducible factor together with its multiplicity.
 
@@ -37,42 +39,12 @@ class FactorClass:
     loses nothing.
     """
 
-    __slots__ = ("factor", "multiplicity")
-
     factor: UPoly
     multiplicity: int
 
-    def __init__(self, factor: UPoly, multiplicity: int):
-        if multiplicity < 1:
+    def __post_init__(self):
+        if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "multiplicity", int(multiplicity))
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("FactorClass is immutable")
-
-    @property
-    def degree(self) -> int:
-        return int(self.factor.degree)
-
-    def __iter__(self):
-        return iter((self.factor, self.multiplicity))
-
-    def __eq__(self, other):
-        if isinstance(other, FactorClass):
-            return (
-                self.factor == other.factor
-                and self.multiplicity == other.multiplicity
-            )
-        if isinstance(other, tuple) and len(other) == 2:
-            return self.factor == other[0] and self.multiplicity == other[1]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor, self.multiplicity))
-
-    def __repr__(self):
-        return f"FactorClass({self.factor!r}, {self.multiplicity})"
 
 
 def _split_quadratic(g: UPoly) -> List[UPoly]:
@@ -186,84 +158,21 @@ def eval_mod(a: UPoly, p: UPoly) -> UPoly:
     return a % p
 
 
-def ratfunc_eval_mod(f: RatFunc, p: UPoly) -> UPoly:
-    """f evaluated in the quotient ring K[xi]/(p); den must be a unit mod p."""
-    den_inv = inverse_mod(f.den, p)
-    return eval_mod(f.num * den_inv, p)
-
-
-def constant_eval_mod(f: RatFunc, p: UPoly) -> Optional[QuadExt]:
-    """The value of f at the roots of p, when that value is one constant.
-
-    Returns None when f takes different values on conjugate roots (the
-    residue class is a non-constant element of the quotient ring).
-    """
-    rep = ratfunc_eval_mod(f, p)
-    if rep.degree > 0:
-        return None
-    return rep.coeff(0)
-
-
+@dataclass(frozen=True)
 class PFTerm:
     """One partial-fraction term numerator/factor^order, deg num < deg factor."""
 
-    __slots__ = ("factor", "order", "numerator")
-
-    def __init__(self, factor: UPoly, order: int, numerator: UPoly):
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "numerator", numerator)
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("PFTerm is immutable")
-
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(self.numerator, self.factor**self.order)
-
-    def __iter__(self):
-        return iter((self.factor, self.order, self.numerator))
-
-    def __eq__(self, other):
-        if isinstance(other, PFTerm):
-            other = tuple(other)
-        if isinstance(other, tuple) and len(other) == 3:
-            return (
-                self.factor == other[0]
-                and self.order == other[1]
-                and self.numerator == other[2]
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor, self.order, self.numerator))
-
-    def __repr__(self):
-        return f"PFTerm({self.factor!r}, {self.order}, {self.numerator!r})"
+    factor: UPoly
+    order: int
+    numerator: UPoly
 
 
+@dataclass(frozen=True)
 class PartialFractions:
     """f = poly_part + sum of terms num/(p^order), fully split over the field."""
 
-    __slots__ = ("poly_part", "terms")
-
     poly_part: UPoly
     terms: Tuple[PFTerm, ...]
-
-    def __init__(self, poly_part: UPoly, terms: Sequence[PFTerm]):
-        object.__setattr__(self, "poly_part", poly_part)
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("PartialFractions is immutable")
-
-    def recombine(self) -> RatFunc:
-        acc = RatFunc.from_poly(self.poly_part)
-        for term in self.terms:
-            acc = acc + term.as_ratfunc()
-        return acc
-
-    def __repr__(self):
-        return f"PartialFractions({self.poly_part!r}, {list(self.terms)!r})"
 
 
 def partial_fractions(
@@ -278,7 +187,7 @@ def partial_fractions(
     """
     poly_part, proper = f.proper_parts()
     if proper.is_zero():
-        return PartialFractions(poly_part, [])
+        return PartialFractions(poly_part, ())
     num, den = proper.num, proper.den
     terms: List[PFTerm] = []
     for cls in classes:
@@ -295,7 +204,7 @@ def partial_fractions(
             if not digit.is_zero():
                 terms.append(PFTerm(p, m - j, digit))
     terms.sort(key=lambda t: (t.factor.sort_key(), t.order))
-    return PartialFractions(poly_part, terms)
+    return PartialFractions(poly_part, tuple(terms))
 
 
 def coprime(a: UPoly, b: UPoly) -> bool:

@@ -194,10 +194,6 @@ class QuadExt:
 
     # -- predicates and structure -------------------------------------------
 
-    def conjugate(self) -> "QuadExt":
-        """The field conjugate a - b*sqrt(d)."""
-        return _make(self.p, -self.q, self.r, self.d)
-
     def norm(self) -> Fraction:
         """a^2 - d*b^2, the product with the conjugate (a rational)."""
         p, q = self.p, self.q
@@ -208,11 +204,6 @@ class QuadExt:
 
     def is_rational(self) -> bool:
         return not self.q
-
-    def as_fraction(self) -> Fraction:
-        if self.q:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
 
     def is_integer(self) -> bool:
         return not self.q and self.r == 1
@@ -340,12 +331,6 @@ class FieldSpec:
     def surd(self) -> QuadExt:
         """The generator sqrt(d) itself."""
         return QuadExt(0, 1, self.d)
-
-    def zero(self) -> QuadExt:
-        return QuadExt(0, 0, self.d)
-
-    def one(self) -> QuadExt:
-        return QuadExt(1, 0, self.d)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and other.d == self.d

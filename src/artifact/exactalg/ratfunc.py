@@ -85,11 +85,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> UPoly:
-        if not self.is_polynomial():
-            raise ValueError("rational function has a nontrivial denominator")
-        return self.num
-
     def is_constant(self) -> bool:
         return self.is_polynomial() and self.num.is_constant()
 
@@ -162,15 +157,6 @@ class RatFunc:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def eval(self, x: Scalar) -> QuadExt:
-        dv = self.den.eval(x)
-        if dv.is_zero():
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval(x) / dv
-
-    def has_pole_at(self, x: Scalar) -> bool:
-        return self.den.eval(x).is_zero()
 
     def proper_parts(self) -> Tuple[UPoly, "RatFunc"]:
         """Writes self = poly + proper, with deg(proper num) < deg den."""

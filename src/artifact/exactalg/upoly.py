@@ -3,7 +3,7 @@
 Coefficients are stored ascending by degree with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -inf.  All
 classical operations are exact: ring arithmetic, Euclidean division,
-monic gcd / extended gcd, derivatives, evaluation, and Yun's squarefree
+monic gcd / extended gcd, derivatives, and Yun's squarefree
 decomposition.  Every polynomial carries the field discriminant d so that
 even the zero polynomial knows its coefficient field.
 
@@ -75,10 +75,6 @@ class UPoly:
     def constant(c: CoeffLike, d: int) -> "UPoly":
         return UPoly((c,), d)
 
-    @staticmethod
-    def monomial(c: CoeffLike, n: int, d: int) -> "UPoly":
-        return UPoly([QuadExt(0, 0, d)] * n + [_coerce_coeff(c, d)], d)
-
     # -- structure -------------------------------------------------------------
 
     @property
@@ -104,11 +100,6 @@ class UPoly:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
         return QuadExt(0, 0, self.d)
-
-    def constant_value(self) -> QuadExt:
-        if self.degree > 0:
-            raise ValueError("polynomial is not constant")
-        return self.coeff(0)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -202,13 +193,6 @@ class UPoly:
             out.append(c / (i + 1))
         return UPoly(out, self.d)
 
-    def eval(self, x: CoeffLike) -> QuadExt:
-        x = _coerce_coeff(x, self.d)
-        acc = QuadExt(0, 0, self.d)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- division ------------------------------------------------------------------
 
     def __divmod__(self, other: "UPoly") -> Tuple["UPoly", "UPoly"]:
@@ -237,11 +221,6 @@ class UPoly:
 
     def __mod__(self, other: "UPoly") -> "UPoly":
         return divmod(self, other)[1]
-
-    def divides(self, other: "UPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     def exact_div(self, other: "UPoly") -> "UPoly":
         q, r = divmod(self, other)
@@ -281,11 +260,6 @@ class UPoly:
 
 
 # -- classical algorithms ------------------------------------------------------
-
-
-def poly_divrem(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
-    """Quotient and remainder of exact Euclidean division, deg r < deg b."""
-    return divmod(a, b)
 
 
 #: Primes p = 3 (mod 4) just below 2^61 for the modular coprimality test.
@@ -451,21 +425,6 @@ def squarefree_part(f: UPoly) -> UPoly:
     for part, _ in squarefree_decompose(f):
         result = result * part
     return result
-
-
-def multiplicity(p: UPoly, f: UPoly) -> int:
-    """Largest m with p^m dividing f (f nonzero, p nonconstant)."""
-    if f.is_zero():
-        raise ValueError("multiplicity in the zero polynomial")
-    if p.degree < 1:
-        raise ValueError("multiplicity of a constant")
-    m = 0
-    while True:
-        q, r = divmod(f, p)
-        if not r.is_zero():
-            return m
-        m += 1
-        f = q
 
 
 def strip_power_of_x(f: UPoly) -> Tuple[int, UPoly]:

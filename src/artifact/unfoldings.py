@@ -25,7 +25,6 @@ cross-validation of the certifier against closed-form expectations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import Field, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -209,45 +208,6 @@ FAMILIES: Dict[str, Family] = {
 }
 
 
-def fold_hopf_kappa(p: FoldHopfParams, k: int) -> RatFunc:
-    """Closed form: kappa_{2j-1} = (2j-1)! * (-s)^{j-1} * (alpha*xi + nu)
-    / (xi^2 + mu)^j; even orders vanish."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    F = p.field
-    d = F.d
-    if k % 2 == 0:
-        return RatFunc.zero(d)
-    j = (k + 1) // 2
-    sign = F((-p.s) ** (j - 1))
-    num = UPoly([p.nu, p.alpha], d) * (sign * math.factorial(k))
-    den = UPoly([p.mu, F(0), F(1)], d) ** j
-    return RatFunc(num, den)
-
-
-def double_hopf_kappa(p: DoubleHopfParams, k: int) -> RatFunc:
-    """Closed form for chart 1: kappa_1 = -(alpha*xi^2 + nu)/(xi*(xi^2 - mu));
-    kappa_{2j+1} = -(2j+1)! * beta^{j-1} * ((alpha*beta + s)*xi^2
-    + beta*nu - mu*s) / (xi*(xi^2 - mu)^{j+1}); even orders vanish."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    F = p.field
-    d = F.d
-    if k % 2 == 0:
-        return RatFunc.zero(d)
-    x = UPoly.x(d)
-    base = UPoly([-p.mu, F(0), F(1)], d)
-    if k == 1:
-        num = -UPoly([p.nu, F(0), p.alpha], d)
-        return RatFunc(num, x * base)
-    j = (k - 1) // 2
-    lead = p.alpha * p.beta + p.s
-    const = p.beta * p.nu - p.mu * p.s
-    scale = F(p.beta**(j - 1)) * (-math.factorial(k))
-    num = UPoly([const, F(0), lead], d) * scale
-    return RatFunc(num, x * base ** (j + 1))
-
-
 # ---------------------------------------------------------------------------
 # Theorem clause evaluation
 # ---------------------------------------------------------------------------
@@ -261,23 +221,12 @@ class ClauseEvaluation:
     holds: bool
     subconditions: Tuple[SubCondition, ...]
 
-    @property
-    def failing(self) -> Tuple[str, ...]:
-        return tuple(name for name, ok in self.subconditions if ok is False)
-
 
 @dataclass(frozen=True)
 class TheoremClauseReport:
     theorem_id: str
     clauses: Tuple[ClauseEvaluation, ...]
     any_clause_holds: bool
-    undecidable_flags: Tuple[str, ...] = ()
-
-    def clause(self, clause_id: str) -> ClauseEvaluation:
-        for c in self.clauses:
-            if c.clause_id == clause_id:
-                return c
-        raise KeyError(clause_id)
 
 
 def _clause(clause_id: str, subs: List[SubCondition]) -> ClauseEvaluation:

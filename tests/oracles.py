@@ -17,7 +17,15 @@
   passes along; ``partition`` and ``omega`` call ``partition_roots`` and
   ``omega_decompose`` with such classes;
 * ``FractionPairQuadExt`` is field arithmetic on a pair of Fractions
-  a + b*sqrt(d), the reference for the integer-triple ``QuadExt``.
+  a + b*sqrt(d), the reference for the integer-triple ``QuadExt``;
+* ``fold_hopf_kappa`` and ``double_hopf_kappa`` are the paper's closed
+  forms of kappa_k for the two unfoldings, and ``clause`` looks up one
+  clause of a ``theorem_conditions`` report;
+* the exact-algebra members that only tests call: ``ratfunc_eval_mod``
+  and ``constant_eval_mod`` (evaluation in K[xi]/(p)), ``recombine`` (a
+  ``PartialFractions`` summed back into one ``RatFunc``), ``multiplicity``,
+  ``monomial``, ``poly_eval``, ``as_poly``, ``ratfunc_eval``,
+  ``has_pole_at``, ``eval_point``, ``as_fraction`` and ``conjugate``.
 """
 
 from fractions import Fraction
@@ -28,12 +36,23 @@ from artifact.criteria import RootPartition, partition_roots
 from artifact.exactalg import (
     BiPoly,
     FactorClass,
+    PartialFractions,
     QuadExt,
     RatFunc,
     UPoly,
+    eval_mod,
     factor_irreducible,
+    inverse_mod,
 )
 from artifact.exactalg.field import _fraction_sqrt
+from artifact.unfoldings import (
+    ClauseEvaluation,
+    DoubleHopfParams,
+    FoldHopfParams,
+    TheoremClauseReport,
+)
+
+Scalar = Union[int, Fraction, QuadExt]
 from artifact.varcalc import (
     CurveData,
     CurveInSingularLocusError,
@@ -380,3 +399,139 @@ def partition(kappa1: RatFunc, kappak: RatFunc) -> RootPartition:
 def omega(kappa1: RatFunc) -> OmegaData:
     """omega_decompose with kappa_1's denominator factored afresh."""
     return omega_decompose(kappa1, pole_classes(kappa1))
+
+
+def fold_hopf_kappa(p: FoldHopfParams, k: int) -> RatFunc:
+    """Closed form: kappa_{2j-1} = (2j-1)! * (-s)^{j-1} * (alpha*xi + nu)
+    / (xi^2 + mu)^j; even orders vanish."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    F = p.field
+    d = F.d
+    if k % 2 == 0:
+        return RatFunc.zero(d)
+    j = (k + 1) // 2
+    sign = F((-p.s) ** (j - 1))
+    num = UPoly([p.nu, p.alpha], d) * (sign * factorial(k))
+    den = UPoly([p.mu, F(0), F(1)], d) ** j
+    return RatFunc(num, den)
+
+
+def double_hopf_kappa(p: DoubleHopfParams, k: int) -> RatFunc:
+    """Closed form for chart 1: kappa_1 = -(alpha*xi^2 + nu)/(xi*(xi^2 - mu));
+    kappa_{2j+1} = -(2j+1)! * beta^{j-1} * ((alpha*beta + s)*xi^2
+    + beta*nu - mu*s) / (xi*(xi^2 - mu)^{j+1}); even orders vanish."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    F = p.field
+    d = F.d
+    if k % 2 == 0:
+        return RatFunc.zero(d)
+    x = UPoly.x(d)
+    base = UPoly([-p.mu, F(0), F(1)], d)
+    if k == 1:
+        num = -UPoly([p.nu, F(0), p.alpha], d)
+        return RatFunc(num, x * base)
+    j = (k - 1) // 2
+    lead = p.alpha * p.beta + p.s
+    const = p.beta * p.nu - p.mu * p.s
+    scale = F(p.beta**(j - 1)) * (-factorial(k))
+    num = UPoly([const, F(0), lead], d) * scale
+    return RatFunc(num, x * base ** (j + 1))
+
+
+def clause(report: TheoremClauseReport, clause_id: str) -> ClauseEvaluation:
+    """The clause of report with the given id."""
+    for c in report.clauses:
+        if c.clause_id == clause_id:
+            return c
+    raise KeyError(clause_id)
+
+
+def ratfunc_eval_mod(f: RatFunc, p: UPoly) -> UPoly:
+    """f evaluated in the quotient ring K[xi]/(p); den must be a unit mod p."""
+    return eval_mod(f.num * inverse_mod(f.den, p), p)
+
+
+def constant_eval_mod(f: RatFunc, p: UPoly) -> Optional[QuadExt]:
+    """The value of f at the roots of p, when that value is one constant;
+    None when f takes different values on conjugate roots."""
+    rep = ratfunc_eval_mod(f, p)
+    if rep.degree > 0:
+        return None
+    return rep.coeff(0)
+
+
+def recombine(pf: PartialFractions) -> RatFunc:
+    """poly_part plus every term numerator/factor^order, in RatFunc."""
+    acc = RatFunc.from_poly(pf.poly_part)
+    for term in pf.terms:
+        acc = acc + RatFunc(term.numerator, term.factor**term.order)
+    return acc
+
+
+def multiplicity(p: UPoly, f: UPoly) -> int:
+    """Largest m with p^m dividing f (f nonzero, p nonconstant)."""
+    if f.is_zero():
+        raise ValueError("multiplicity in the zero polynomial")
+    if p.degree < 1:
+        raise ValueError("multiplicity of a constant")
+    m = 0
+    while True:
+        q, r = divmod(f, p)
+        if not r.is_zero():
+            return m
+        m += 1
+        f = q
+
+
+def monomial(c: Scalar, n: int, d: int) -> UPoly:
+    """c * xi^n over Q(sqrt d)."""
+    return UPoly([0] * n + [c], d)
+
+
+def poly_eval(p: UPoly, x: Scalar) -> QuadExt:
+    """p(x) by Horner's rule."""
+    acc = QuadExt(0, 0, p.d)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def as_poly(f: RatFunc) -> UPoly:
+    """The numerator of a polynomial f; raises for a proper denominator."""
+    if not f.is_polynomial():
+        raise ValueError("rational function has a nontrivial denominator")
+    return f.num
+
+
+def ratfunc_eval(f: RatFunc, x: Scalar) -> QuadExt:
+    """f(x); raises ZeroDivisionError at a pole."""
+    dv = poly_eval(f.den, x)
+    if dv.is_zero():
+        raise ZeroDivisionError("evaluation at a pole")
+    return poly_eval(f.num, x) / dv
+
+
+def has_pole_at(f: RatFunc, x: Scalar) -> bool:
+    return poly_eval(f.den, x).is_zero()
+
+
+def eval_point(p: BiPoly, xi: Scalar, eta: Scalar) -> QuadExt:
+    """p(xi, eta) by Horner's rule in eta."""
+    acc = QuadExt(0, 0, p.d)
+    for r in reversed(p.rows):
+        acc = acc * eta + poly_eval(r, xi)
+    return acc
+
+
+def as_fraction(c: QuadExt) -> Fraction:
+    """A rational c as a Fraction; raises for an irrational c."""
+    if c.q:
+        raise ValueError(f"{c!r} is irrational")
+    return c.a
+
+
+def conjugate(c: QuadExt) -> QuadExt:
+    """The field conjugate a - b*sqrt(d)."""
+    return QuadExt(c.a, -c.b, c.d)

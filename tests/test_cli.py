@@ -22,7 +22,7 @@ from artifact.cli import (
     sweep,
 )
 from artifact.exactalg import FieldSpec
-from artifact.unfoldings import FAMILIES, FoldHopfParams
+from artifact.unfoldings import FAMILIES, DoubleHopfParams, FoldHopfParams
 from artifact.varcalc import CurveInSingularLocusError, InvalidInputError
 
 
@@ -114,6 +114,33 @@ def test_load_config_errors(tmp_path):
         load_config(
             write(tmp_path, "f.ini", "[field]\nd = 4\n" + "[system]\nP = xi\nQ = eta\n")
         )
+
+
+def test_load_config_curve_must_be_eta_free(tmp_path):
+    bad = INLINE_INI.replace("phi = 0", "phi = eta + 1")
+    with pytest.raises(UsageError) as err:
+        load_config(write(tmp_path, "a.ini", bad))
+    assert str(err.value) == (
+        "[system] phi: line 1, column 1: 'eta' is not allowed in this"
+        " expression"
+    )
+
+
+def test_system_spec_refuses_requests_it_cannot_serve():
+    F = FieldSpec(2)
+    fold = FoldHopfParams(F, -1, 1, F.surd())
+    double = DoubleHopfParams(F, 1, F.surd(), 0, 1)
+    cases = (
+        (dict(family="fold-hopf", chart=2, params=fold), "has no chart 2"),
+        (dict(family="fold-hopf", params=None), "got NoneType"),
+        (dict(family="fold-hopf", params=double), "got DoubleHopfParams"),
+        (dict(family="saddle-node", params=fold), "unknown family"),
+    )
+    for kwargs, message in cases:
+        with pytest.raises(UsageError, match=message):
+            SystemSpec(field=F, **kwargs)
+    # the served requests still build
+    SystemSpec(field=F, family="double-hopf", chart=2, params=double)
 
 
 def test_load_config_scalar_validation(tmp_path):

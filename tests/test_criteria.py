@@ -22,16 +22,13 @@ from artifact.exactalg import (
     QuadExt,
     RatFunc,
     UPoly,
-    multiplicity,
     poly_gcd,
 )
 from artifact.expr import parse_ratfunc
 from artifact.unfoldings import (
     DoubleHopfParams,
     FoldHopfParams,
-    double_hopf_kappa,
     double_hopf_system,
-    fold_hopf_kappa,
     fold_hopf_system,
 )
 
@@ -39,6 +36,10 @@ from conftest import rand_scalar, rand_upoly
 from oracles import (
     auxiliary_polynomial,
     dense_ode_solutions,
+    double_hopf_kappa,
+    fold_hopf_kappa,
+    monomial,
+    multiplicity,
     omega,
     partition,
 )
@@ -268,14 +269,14 @@ def test_divide_by_rho_counts_distinct_roots(F2):
 
 def test_polynomial_solution_simple(F2):
     # A = xi^5, rho = xi, rhs = 2 xi: z = 2
-    z = _ode_solutions(UPoly.monomial(1, 5, 2), xp(0, 1), xp(0, 2))[0]
+    z = _ode_solutions(monomial(1, 5, 2), xp(0, 1), xp(0, 2))[0]
     assert z == UPoly.constant(F2(2), 2)
 
 
 def test_polynomial_solution_nontrivial(F2, rt2):
     # A = xi^3, rho = -3 xi^2 - 2 rt: z = xi^2 + 1 solves
     # A z' + rho z = -xi^4 - (3 + 2 rt) xi^2 - 2 rt... built by substitution
-    A = UPoly.monomial(1, 3, 2)
+    A = monomial(1, 3, 2)
     rho = UPoly([-2 * rt2, 0, -3], 2)
     z_true = xp(1, 0, 1)
     rhs = A * z_true.derivative() + rho * z_true
@@ -294,7 +295,7 @@ def test_polynomial_solution_none_when_impossible(F2):
 
 def test_polynomial_solution_kernel_family(F2):
     # A = xi^2, rho = -2 xi: kernel z = xi^2 (A z' + rho z = 0)
-    A = UPoly.monomial(1, 2, 2)
+    A = monomial(1, 2, 2)
     rho = xp(0, -2)
     zero = _ode_solutions(A, rho, UPoly.zero(2))[0]
     assert zero is not None
@@ -314,7 +315,7 @@ def test_polynomial_solution_degree_zero_candidate(F2):
 def test_polynomial_solution_resonant_degree(F2):
     # deg rho = deg A - 1 with -lc(rho)/lc(A) = n >= 0 admits degree-n
     # solutions: A = xi^3, rho = -2 xi^2 -> n = 2
-    A = UPoly.monomial(1, 3, 2)
+    A = monomial(1, 3, 2)
     rho = xp(0, 0, -2)
     z_true = xp(0, 0, 1)  # xi^2: A*2xi + rho*xi^2 = 2xi^4 - 2xi^4 = 0
     assert (A * z_true.derivative() + rho * z_true).is_zero()
@@ -357,7 +358,7 @@ def _ode_cases(rng, F):
     A = _rand_poly(rng, F, 2, 4)
     r = rng.randint(1, 6)
     low = _rand_poly(rng, F, int(A.degree) - 2, int(A.degree) - 2)
-    rho = low + UPoly.monomial(-A.lc() * r, int(A.degree) - 1, d)
+    rho = low + monomial(-A.lc() * r, int(A.degree) - 1, d)
     yield "resonant, a low row fixes t", A, rho, _image(A, rho, z)
     A = _rand_poly(rng, F, 0, 3)
     rho = _rand_poly(rng, F, max(int(A.degree), 1), int(A.degree) + 2)

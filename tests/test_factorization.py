@@ -8,18 +8,16 @@ import pytest
 from artifact.exactalg import (
     RatFunc,
     UPoly,
-    constant_eval_mod,
     coprime,
     eval_mod,
     factor_irreducible,
     inverse_mod,
     partial_fractions,
-    poly_divrem,
     poly_gcd,
 )
 
 from conftest import rand_ratfunc, rand_upoly
-from oracles import pole_classes
+from oracles import constant_eval_mod, monomial, pole_classes, recombine
 
 
 def xp(*coeffs, d=2):
@@ -60,7 +58,7 @@ def test_factor_with_multiplicities_and_content(F2):
 
 
 def test_factor_strips_x_powers(F2):
-    f = UPoly.monomial(1, 3, 2) * xp(-1, 0, 1)
+    f = monomial(1, 3, 2) * xp(-1, 0, 1)
     classes = factor_irreducible(f)
     assert rebuild(classes, f.coeff(f.degree), 2) == f
     mults = {c.factor.degree: c.multiplicity for c in classes}
@@ -131,7 +129,7 @@ def test_partial_fractions_reconstruct_random(F2):
         if f.is_zero():
             continue
         pf = partial_fractions(f, pole_classes(f))
-        assert pf.recombine() == f
+        assert recombine(pf) == f
         for term in pf.terms:
             assert not term.numerator.is_zero()
             assert term.numerator.degree < term.factor.degree
@@ -152,4 +150,4 @@ def test_partial_fractions_term_shape(F2):
         (tuple(p1.coeffs), 2),
         (tuple(p2.coeffs), 1),
     }
-    assert pf.recombine() == f
+    assert recombine(pf) == f

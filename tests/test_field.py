@@ -10,7 +10,7 @@ from artifact.exactalg import FieldSpec, QuadExt, is_rational_square
 from artifact.exactalg.field import MAX_ABS_D
 
 from conftest import rand_scalar
-from oracles import FractionPairQuadExt
+from oracles import FractionPairQuadExt, as_fraction, conjugate
 
 
 def test_construction_and_equality(F2):
@@ -66,17 +66,17 @@ def test_division_and_inverse_random(F2):
 
 def test_conjugate_and_norm(F2, rt2):
     x = F2(3, Fraction(1, 2))
-    assert x.conjugate() == F2(3, Fraction(-1, 2))
-    assert x * x.conjugate() == F2(x.norm())
+    assert conjugate(x) == F2(3, Fraction(-1, 2))
+    assert x * conjugate(x) == F2(x.norm())
     assert x.norm() == Fraction(9, 1) - 2 * Fraction(1, 4)
 
 
 def test_rationality_predicates(F2, rt2):
     assert F2(5, 0).is_rational()
     assert not rt2.is_rational()
-    assert F2(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
+    assert as_fraction(F2(Fraction(7, 3))) == Fraction(7, 3)
     with pytest.raises(ValueError):
-        rt2.as_fraction()
+        as_fraction(rt2)
     assert F2(4).is_integer()
     assert not F2(Fraction(1, 2)).is_integer()
     assert not rt2.is_integer()
@@ -203,7 +203,7 @@ def test_quadext_special_values_are_canonical():
         assert (zero.p, zero.q, zero.r) == (0, 0, 1)
         x = QuadExt(Fraction(6, 4), Fraction(-9, 6), d)
         assert x - x == zero and (x - x).r == 1
-        assert x.conjugate() * x == QuadExt(x.norm(), 0, d)
+        assert conjugate(x) * x == QuadExt(x.norm(), 0, d)
         # a negative denominator from an inverse is moved into p and q
         _assert_canonical(QuadExt(-3, 0, d).inverse())
         assert QuadExt(-3, 0, d).inverse() == Fraction(-1, 3)

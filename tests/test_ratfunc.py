@@ -7,7 +7,14 @@ import pytest
 from artifact.exactalg import BiPoly, RatFunc, UPoly
 
 from conftest import rand_ratfunc, rand_upoly
-from oracles import eval_eta, shift_eta
+from oracles import (
+    as_poly,
+    eval_eta,
+    eval_point,
+    has_pole_at,
+    ratfunc_eval,
+    shift_eta,
+)
 
 
 def xp(*coeffs, d=2):
@@ -65,11 +72,11 @@ def test_quotient_rule_derivative(F2):
 
 def test_eval_and_poles(F2):
     f = RatFunc(xp(1, 1), xp(-1, 1))  # (xi+1)/(xi-1)
-    assert f.eval(F2(3)) == F2(2)
-    assert f.has_pole_at(F2(1))
-    assert not f.has_pole_at(F2(0))
+    assert ratfunc_eval(f, F2(3)) == F2(2)
+    assert has_pole_at(f, F2(1))
+    assert not has_pole_at(f, F2(0))
     with pytest.raises(ZeroDivisionError):
-        f.eval(F2(1))
+        ratfunc_eval(f, F2(1))
 
 
 def test_proper_parts_identity(F2):
@@ -86,11 +93,11 @@ def test_as_poly_round_trip(F2):
     p = xp(1, 2, 3)
     f = RatFunc.from_poly(p)
     assert f.is_polynomial()
-    assert f.as_poly() == p
+    assert as_poly(f) == p
     g = RatFunc(UPoly.one(2), xp(0, 1))
     assert not g.is_polynomial()
     with pytest.raises(ValueError):
-        g.as_poly()
+        as_poly(g)
 
 
 def test_bipoly_algebra_and_substitution(F2, rt2):
@@ -103,8 +110,8 @@ def test_bipoly_algebra_and_substitution(F2, rt2):
     assert S.degree_eta == 3
     # evaluation hom at (xi, eta) = (2, 1): P=4, Q=1+2rt -> S=4+8rt
     x, e = F2(2), F2(1)
-    assert S.eval_point(x, e) == P.eval_point(x, e) * Q.eval_point(x, e)
-    assert (P + Q).eval_point(x, e) == P.eval_point(x, e) + Q.eval_point(x, e)
+    assert eval_point(S, x, e) == eval_point(P, x, e) * eval_point(Q, x, e)
+    assert eval_point(P + Q, x, e) == eval_point(P, x, e) + eval_point(Q, x, e)
 
 
 def test_bipoly_eval_eta_and_shift_series(F2):
@@ -120,9 +127,9 @@ def test_bipoly_eval_eta_and_shift_series(F2):
         for _ in range(4):
             x = F2(rng.randint(-5, 5))
             w = F2(rng.randint(-3, 3), 1)
-            lhs = P.eval_point(x, phi.eval(x) + w)
+            lhs = eval_point(P, x, ratfunc_eval(phi, x) + w)
             rhs = sum(
-                (coeffs[j].eval(x) * w**j for j in range(4)), F2(0)
+                (ratfunc_eval(coeffs[j], x) * w**j for j in range(4)), F2(0)
             )
             assert lhs == rhs
         assert coeffs[0] == eval_eta(P, phi)

@@ -10,16 +10,22 @@ from artifact.unfoldings import (
     DoubleHopfParams,
     FoldHopfParams,
     chart_two_params,
-    double_hopf_kappa,
     double_hopf_system,
-    fold_hopf_kappa,
     fold_hopf_system,
     theorem_conditions,
 )
 from artifact.varcalc import kappa_coefficients
 
 from conftest import rand_scalar
-from oracles import eval_eta, is_integral_curve
+from oracles import (
+    clause,
+    double_hopf_kappa,
+    eval_eta,
+    eval_point,
+    fold_hopf_kappa,
+    is_integral_curve,
+    ratfunc_eval,
+)
 
 
 def fh(F, mu, nu, alpha, s=1, beta=None, omega=None):
@@ -58,13 +64,13 @@ def test_fold_hopf_system_shape(F2, rt2):
     assert curve.phi.is_zero()
     assert is_integral_curve(system, curve)
     # P = xi^2 + s eta^2 + mu, Q = eta (alpha xi + nu)
-    assert system.P.eval_point(F2(2), F2(3)) == F2(4 + 9 - 1)
-    assert system.Q.eval_point(F2(2), F2(3)) == F2(3) * (rt2 * F2(2) + F2(1))
+    assert eval_point(system.P, F2(2), F2(3)) == F2(4 + 9 - 1)
+    assert eval_point(system.Q, F2(2), F2(3)) == F2(3) * (rt2 * F2(2) + F2(1))
 
 
 def test_fold_hopf_system_sign(F2, rt2):
     system, _ = fold_hopf_system(fh(F2, -1, 1, rt2, s=-1))
-    assert system.P.eval_point(F2(2), F2(3)) == F2(4 - 9 - 1)
+    assert eval_point(system.P, F2(2), F2(3)) == F2(4 - 9 - 1)
 
 
 def test_double_hopf_chart1_system_shape(F2, rt2):
@@ -74,8 +80,8 @@ def test_double_hopf_chart1_system_shape(F2, rt2):
     assert is_integral_curve(system, curve)
     # P = xi (beta eta^2 - xi^2 + mu), Q = eta (s eta^2 + alpha xi^2 + nu)
     x, e = F2(2), F2(3)
-    assert system.P.eval_point(x, e) == x * (F2(9) - F2(4) + F2(1))
-    assert system.Q.eval_point(x, e) == e * (F2(9) + F2(2) + rt2)
+    assert eval_point(system.P, x, e) == x * (F2(9) - F2(4) + F2(1))
+    assert eval_point(system.Q, x, e) == e * (F2(9) + F2(2) + rt2)
 
 
 def test_chart_two_params_swap(F2, rt2):
@@ -151,7 +157,7 @@ def test_fold_hopf_kappa_first_order(F2, rt2):
     params = fh(F2, -1, 1, rt2)
     k1 = fold_hopf_kappa(params, 1)
     x = F2(3)
-    assert k1.eval(x) == (rt2 * x + F2(1)) / (x * x - F2(1))
+    assert ratfunc_eval(k1, x) == (rt2 * x + F2(1)) / (x * x - F2(1))
 
 
 def test_inert_parameters_do_not_change_kappas(F2, rt2):
@@ -170,7 +176,7 @@ def test_theorem_conditions_examples(F2, rt2):
     # alpha irrational, nu nonzero, mu nonzero -> first clause holds
     report = theorem_conditions(fh(F2, -1, 1, rt2), "1.3")
     assert report.any_clause_holds
-    assert report.clause("i").holds
+    assert clause(report, "i").holds
     # all-rational resonant example -> no clause holds
     report2 = theorem_conditions(fh(F2, -1, 2, 3), "1.3")
     assert not report2.any_clause_holds
@@ -181,19 +187,19 @@ def test_theorem_conditions_sqrt_clause(F2, rt2):
     # mu = -1: nu / sqrt(-mu) = nu; pick nu irrational, alpha rational
     # with 2*alpha - 1 not a nonpositive integer -> clause (ii)
     report = theorem_conditions(fh(F2, -1, rt2, 1), "1.3")
-    assert report.clause("ii").holds
+    assert clause(report, "ii").holds
     # mu = -4, nu = 3: nu/sqrt(-mu) = 3/2 rational -> (ii) fails
     report2 = theorem_conditions(fh(F2, -4, 3, 1), "1.3")
-    assert not report2.clause("ii").holds
+    assert not clause(report2, "ii").holds
     # mu = 0 branch: (iii) requires nu != 0 and 2 alpha - 1 not in Z_{<=0}
     report3 = theorem_conditions(fh(F2, 0, 1, rt2), "1.3")
-    assert report3.clause("iii").holds
-    assert not report3.clause("i").holds
+    assert clause(report3, "iii").holds
+    assert not clause(report3, "i").holds
 
 
 def test_theorem_conditions_double_hopf_chart1(F2, rt2):
     report = theorem_conditions(dh(F2, 1, rt2, Fraction(1, 2), 1), "1.4")
-    assert report.clause("i").holds
+    assert clause(report, "i").holds
     # alpha a nonnegative integer blocks every clause
     report2 = theorem_conditions(dh(F2, 1, rt2, 1, 1), "1.4")
     assert not report2.any_clause_holds
@@ -214,7 +220,7 @@ def test_theorem_conditions_chart2_matches_swap(F2, rt2):
         swapped = theorem_conditions(chart_two_params(p), "1.4")
         assert direct.any_clause_holds == swapped.any_clause_holds
         for cid in ("i", "ii", "iii"):
-            assert direct.clause(cid).holds == swapped.clause(cid).holds
+            assert clause(direct, cid).holds == clause(swapped, cid).holds
 
 
 def test_theorem_conditions_rejects_mismatched_params(F2, rt2):

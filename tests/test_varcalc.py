@@ -16,9 +16,7 @@ from artifact.expr import parse_bipoly, parse_ratfunc
 from artifact.unfoldings import (
     DoubleHopfParams,
     FoldHopfParams,
-    double_hopf_kappa,
     double_hopf_system,
-    fold_hopf_kappa,
     fold_hopf_system,
 )
 from artifact.varcalc import (
@@ -30,7 +28,9 @@ from artifact.varcalc import (
 
 from conftest import rand_scalar, rand_upoly
 from oracles import (
+    double_hopf_kappa,
     eval_eta,
+    fold_hopf_kappa,
     is_integral_curve,
     kappa_by_differentiation,
     kappa_by_recurrence,
