@@ -53,9 +53,13 @@ _SIX_TERM = (
     " - 3*xi^2*eta - 3*eta + 1/2*xi^2 - 1/2*xi + 3/2",
     "(-1 + 2*rt)*xi*eta^2 + 1/2*eta^2 - 2*xi*eta + (-2 + rt)*eta",
 )
-# Its kappa_k denominators carry the irreducible class xi^4 + xi + 1, so
-# this request runs the general-purpose factorizer.
+# Its kappa_k denominators carry the class xi^4 + xi + 1, irreducible
+# over Q(sqrt 2).
 _QUARTIC = ("xi^4 + xi + 1 + eta^2", "eta*(rt*xi + 1) + eta^2")
+# The control: a_0 = xi^4 - 10*xi^2 + 1 is irreducible over Q but the
+# product of two quadratics over Q(sqrt 2), so this request runs the
+# general-purpose factorizer.
+_SD_QUARTIC = ("xi^4 - 10*xi^2 + 1 + eta^2", "eta*(rt*xi + 1) + eta^2")
 
 
 def _fold_hopf(field, args, K) -> SystemSpec:
@@ -156,11 +160,14 @@ def corpus() -> Dict[str, SystemSpec]:
         P=parse_bipoly(_SIX_TERM[0], F), Q=parse_bipoly(_SIX_TERM[1], F),
         phi=RatFunc.zero(F.d),
     )
-    specs["inline_quartic_k25"] = SystemSpec(
-        field=F, max_order=25,
-        P=parse_bipoly(_QUARTIC[0], F), Q=parse_bipoly(_QUARTIC[1], F),
-        phi=RatFunc.zero(F.d),
-    )
+    for label, (P, Q), K in (
+        ("inline_quartic_k25", _QUARTIC, 25),
+        ("inline_sd_quartic_k9", _SD_QUARTIC, 9),
+    ):
+        specs[label] = SystemSpec(
+            field=F, max_order=K, P=parse_bipoly(P, F), Q=parse_bipoly(Q, F),
+            phi=RatFunc.zero(F.d),
+        )
     return specs
 
 
