@@ -18,8 +18,9 @@ and a flag only for a family with more than one chart.
 
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
 method does not apply (irregular at infinity), 4 = input/usage error,
-5 = internal error (an exact self-check of the pipeline failed, or the
-pipeline raised an error on input it accepted).  A sweep
+5 = internal error (an exact self-check of the pipeline failed, the
+pipeline raised an error on input it accepted, or any other exception
+escaped; the message names an unexpected exception's type).  A sweep
 exits 5 if any tuple hit an internal error, 4 if every tuple of a
 non-empty grid failed, and 0 otherwise.
 The ``NONINT_MAX_ORDER`` environment variable overrides the default
@@ -98,10 +99,7 @@ class InternalError(Exception):
 
 
 def _parse_scalar(text: str, field: FieldSpec, what: str) -> QuadExt:
-    try:
-        value = parse_expression(text, field)
-    except ExprSyntaxError as exc:
-        raise UsageError(f"{what}: {exc}") from exc
+    value = _parse(parse_expression, text, field, what)
     if isinstance(value, RatFunc):
         if not value.is_constant():
             raise UsageError(f"{what}: expected a constant, got {value}")
@@ -111,16 +109,10 @@ def _parse_scalar(text: str, field: FieldSpec, what: str) -> QuadExt:
     return value.row(0).coeff(0)
 
 
-def _parse_bipoly(text: str, field: FieldSpec, what: str) -> BiPoly:
+def _parse(parse, text: str, field: FieldSpec, what: str):
+    """parse(text, field), its syntax errors turned into usage errors."""
     try:
-        return parse_bipoly(text, field)
-    except ExprSyntaxError as exc:
-        raise UsageError(f"{what}: {exc}") from exc
-
-
-def _parse_curve(text: str, field: FieldSpec, what: str) -> RatFunc:
-    try:
-        return parse_ratfunc(text, field)
+        return parse(text, field)
     except ExprSyntaxError as exc:
         raise UsageError(f"{what}: {exc}") from exc
 
@@ -418,15 +410,18 @@ def _order_dict(o: CriterionOutcome) -> Dict[str, object]:
 
 
 def run_check(spec: SystemSpec) -> ReportDocument:
-    """Certify one system and assemble the report document."""
+    """Certify one system and assemble the report document; a rejected
+    input raises UsageError, any other pipeline exception InternalError."""
     started = time.perf_counter()
     system, curve = spec.build()
     try:
         cert = certify(system, curve, K=spec.max_order)
     except InvalidInputError as exc:
         raise UsageError(str(exc)) from exc
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
         raise InternalError(str(exc)) from exc
+    except Exception as exc:
+        raise InternalError(f"{type(exc).__name__}: {exc}") from exc
     return ReportDocument(
         certificate=cert,
         version=__version__,
@@ -554,7 +549,7 @@ def _read_config(
     parser = configparser.ConfigParser(interpolation=None)
     try:
         loaded = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}") from exc
     if not loaded:
         raise UsageError(f"cannot read config file: {path}")
@@ -667,12 +662,12 @@ def load_config(path: str, max_order_flag: Optional[int] = None) -> SystemSpec:
         raise UsageError("an inline [system] needs both P and Q")
     phi = None
     if "phi" in options:
-        phi = _parse_curve(options["phi"], field, "[system] phi")
+        phi = _parse(parse_ratfunc, options["phi"], field, "[system] phi")
     return SystemSpec(
         field=field,
         max_order=max_order,
-        P=_parse_bipoly(options["p"], field, "[system] P"),
-        Q=_parse_bipoly(options["q"], field, "[system] Q"),
+        P=_parse(parse_bipoly, options["p"], field, "[system] P"),
+        Q=_parse(parse_bipoly, options["q"], field, "[system] Q"),
         phi=phi,
     )
 
@@ -754,14 +749,16 @@ def render_sweep_text(
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: ReportDocument, json_path: Optional[str]) -> None:
-    if json_path == "-":
-        sys.stdout.write(report.to_json())
-        return
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            handle.write(report.to_json())
-    sys.stdout.write(render_text(report))
+def _emit(json_path: Optional[str], to_json, to_text) -> None:
+    """Print the text and write the JSON to json_path; "-" prints JSON."""
+    if json_path not in (None, "-"):
+        try:
+            with open(json_path, "w") as handle:
+                handle.write(to_json())
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {json_path}: {exc.strerror}") from exc
+    sys.stdout.write(to_json() if json_path == "-" else to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = load_config(args.file, max_order_flag=args.max_order)
     report = run_check(spec)
-    _emit(report, args.json_path)
+    _emit(args.json_path, report.to_json, lambda: render_text(report))
     return report.exit_code
 
 
@@ -866,7 +863,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         params=params,
     )
     report = run_check(spec)
-    _emit(report, args.json_path)
+    _emit(args.json_path, report.to_json, lambda: render_text(report))
     return report.exit_code
 
 
@@ -884,13 +881,8 @@ def _sweep_exit_code(rows: Sequence[SweepRow]) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     template, axes = load_sweep_config(args.file, max_order_flag=args.max_order)
     rows, summary = sweep(template, axes)
-    if args.json_path == "-":
-        sys.stdout.write(sweep_json(rows, summary))
-        return _sweep_exit_code(rows)
-    if args.json_path is not None:
-        with open(args.json_path, "w") as handle:
-            handle.write(sweep_json(rows, summary))
-    sys.stdout.write(render_sweep_text(rows, summary))
+    _emit(args.json_path, lambda: sweep_json(rows, summary),
+          lambda: render_sweep_text(rows, summary))
     return _sweep_exit_code(rows)
 
 
@@ -905,8 +897,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, InternalError) as exc:
-        print(f"{INTERNAL_ERROR_PREFIX}{exc}", file=sys.stderr)
+    except Exception as exc:
+        detail = str(exc)
+        if not isinstance(exc, (AssertionError, InternalError)):
+            detail = f"{type(exc).__name__}: {detail}"
+        print(f"{INTERNAL_ERROR_PREFIX}{detail}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -181,11 +181,7 @@ class ClassSimplicity:
     @property
     def simple_whenever_bj_gt_1(self) -> bool:
         """Simple for every multiplier value >= 2."""
-        return (
-            self.bad_b is None
-            or not self.bad_b.is_natural()
-            or self.bad_b == 1
-        )
+        return self.simple_for_all_b or self.bad_b == 1
 
 
 @dataclass(frozen=True)
@@ -200,13 +196,8 @@ class SimplicityProfile:
     def criterion_ii_fires(self) -> bool:
         """Every class either never breaks or breaks exactly at b = 1,
         and at least one class does break at b = 1."""
-        if not self.classes:
-            return False
-        if not all(c.simple_for_all_b or c.bad_b == 1 for c in self.classes):
-            return False
-        return any(
-            c.bad_b is not None and c.bad_b == 1 for c in self.classes
-        )
+        return self.all_simple_whenever_bj_gt_1 and any(
+            c.bad_b == 1 for c in self.classes)
 
 
 def simplicity_profile(

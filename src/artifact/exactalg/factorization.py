@@ -4,10 +4,13 @@ and full partial-fraction decomposition.
 Factorization is staged for speed: powers of xi are stripped first, Yun's
 squarefree decomposition separates multiplicities, linear parts are
 immediate, and quadratics split exactly when their discriminant is a
-square in the field; only a squarefree part of degree >= 3 falls back to
-a general-purpose factorizer (imported lazily).  The certifier factors
-one polynomial per certificate, a_0 (see varcalc), whose factors carry
-every pole it meets.
+square in the field.  A squarefree part of degree >= 3 is first tested
+with `proven_irreducible`, which proves most irreducible parts
+irreducible from their factor degrees modulo a few small split primes;
+only a part it cannot prove irreducible falls back to a general-purpose
+factorizer (sympy, imported lazily).  The certifier factors one
+polynomial per certificate, a_0 (see varcalc), whose factors carry every
+pole it meets.
 Evaluations "at a root" are carried out in the quotient ring K[xi]/(p)
 so that conjugate roots are handled as one class and no splitting field
 is ever constructed.
@@ -25,6 +28,7 @@ from .upoly import (
     UPoly,
     inverse_mod,
     poly_gcd,
+    proven_irreducible,
     squarefree_decompose,
     strip_power_of_x,
 )
@@ -121,7 +125,7 @@ def _split_squarefree(g: UPoly) -> List[UPoly]:
         return [g]
     if deg == 2:
         return _split_quadratic(g)
-    return _split_with_sympy(g)
+    return [g] if proven_irreducible(g) else _split_with_sympy(g)
 
 
 def factor_irreducible(a: UPoly) -> List[FactorClass]:

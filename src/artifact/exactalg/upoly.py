@@ -12,14 +12,18 @@ modulo a prime p that splits in Q(sqrt d) and returns 1 at once when
 their gcd over F_p is 1.  The test only ever answers "coprime"; every
 other case, including the ones where the reduction is not defined or
 drops a degree, runs the exact Euclidean algorithm.  Its soundness is
-argued in the docstring of `poly_gcd`.  The reduction uses Python
-integers only, so no floating point enters the decision.
+argued in the docstring of `poly_gcd`.  `proven_irreducible` runs
+Musser's degree-set test on the same reduction at small split primes;
+it only ever answers "irreducible".  The reductions use Python integers
+only, so no floating point enters the decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
+from operator import mul
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .field import QuadExt
@@ -286,7 +290,14 @@ def split_prime(d: int) -> Optional[Tuple[int, int]]:
 def _reduce_mod_p(f: UPoly, p: int, s: int) -> Optional[List[int]]:
     """Coefficients of f mapped by (u + v*sqrt(d))/w -> (u + v*s)/w into
     F_p, ascending; None when p divides a denominator w or the leading
-    coefficient maps to 0 (the image would lose degree)."""
+    coefficient maps to 0 (the image would lose degree).
+
+    For an odd prime p with s^2 = d mod p, the map is a ring homomorphism
+    from the local ring O of K = Q(sqrt d) at a prime above p onto F_p.
+    When the image is defined, every monic factor of f over K has
+    coefficients in O (Gauss's lemma in the discrete valuation ring O),
+    so it maps to a factor of the image of the same degree.
+    """
     out: List[int] = []
     for c in f.coeffs:
         x = c.p + c.q * s
@@ -297,6 +308,12 @@ def _reduce_mod_p(f: UPoly, p: int, s: int) -> Optional[List[int]]:
             x *= pow(w, -1, p)
         out.append(x % p)
     return out if out[-1] else None
+
+
+def _strip(f: List[int]) -> List[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def _rem_mod_p(f: List[int], g: List[int], p: int) -> List[int]:
@@ -312,9 +329,14 @@ def _rem_mod_p(f: List[int], g: List[int], p: int) -> List[int]:
             for j in range(n):
                 f[base + j] = (f[base + j] - c * g[j]) % p
     del f[n:]
-    while f and not f[-1]:
-        f.pop()
-    return f
+    return _strip(f)
+
+
+def _gcd_degree_mod_p(f: List[int], g: List[int], p: int) -> int:
+    """Degree of gcd(f, g) over F_p, for stripped ascending lists, f != 0."""
+    while len(g) > 1:
+        f, g = g, _rem_mod_p(f, g, p)
+    return 0 if g else len(f) - 1
 
 
 def _coprime_mod_p(a: UPoly, b: UPoly) -> bool:
@@ -330,27 +352,107 @@ def _coprime_mod_p(a: UPoly, b: UPoly) -> bool:
     g = _reduce_mod_p(b, p, s)
     if f is None or g is None:
         return False
-    while len(g) > 1:
-        f, g = g, _rem_mod_p(f, g, p)
-    return len(g) == 1
+    return _gcd_degree_mod_p(f, g, p) == 0
+
+
+#: The degree-set test gives up after this many usable primes.
+DEGREE_SET_PRIMES = 8
+
+
+@lru_cache(maxsize=16)
+def small_split_primes(d: int) -> Tuple[Tuple[int, int], ...]:
+    """(p, s) with s^2 = d mod p for the primes p = 3 (mod 4) in
+    (2^14, 2^14 + 2^11) that split in Q(sqrt d), about 50; none for
+    d = -1.  A product of two residues is a one-digit Python int: with
+    FILTER_PRIMES the degree-set test ran 3-6 times slower."""
+    return tuple((p, pow(d % p, (p + 1) // 4, p))
+                 for p in range(2**14 + 3, 2**14 + 2**11, 4)
+                 if all(p % q for q in range(3, isqrt(p) + 1, 2))
+                 and pow(d % p, (p - 1) // 2, p) == 1)
+
+
+def _mulmod_p(a: List[int], b: List[int], f: List[int], p: int) -> List[int]:
+    """a*b mod f over F_p, for nonzero ascending lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] += c * e
+    return _rem_mod_p([c % p for c in out], f, p)
+
+
+def _factor_degrees_mod_p(f: List[int], p: int) -> List[int]:
+    """Degrees of the irreducible factors of a monic squarefree f over F_p.
+
+    Distinct-degree factorization without division: gcd(x^(p^i) - x, f)
+    is the product of the factors whose degree divides i, so its degree,
+    the sum of j*c_j over j | i for c_j factors of degree j, gives c_i.
+    The Frobenius matrix, whose row j is x^(j*p) mod f, takes
+    x^(p^(i-1)) mod f to x^(p^i) mod f.  A degree left over below 2*i is
+    one factor.
+    """
+    n = len(f) - 1
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = _mulmod_p(xp, xp, f, p)
+        if bit == "1":
+            xp = _rem_mod_p([0] + xp, f, p)
+    rows = [[1], xp]
+    while len(rows) < n:
+        rows.append(_mulmod_p(rows[-1], xp, f, p))
+    cols = list(zip(*(row + [0] * (n - len(row)) for row in rows)))
+    degrees: List[int] = []
+    h, i = xp, 1
+    while 2 * i <= n - sum(degrees):
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        found = _gcd_degree_mod_p(f, _strip([c % p for c in h_minus_x]), p)
+        degrees += [i] * ((found - sum(j for j in degrees if i % j == 0)) // i)
+        h = _strip([sum(map(mul, h, col)) % p for col in cols])
+        i += 1
+    if sum(degrees) < n:
+        degrees.append(n - sum(degrees))
+    return degrees
+
+
+def proven_irreducible(g: UPoly) -> bool:
+    """True only if Musser's degree-set test proves g irreducible over
+    K = Q(sqrt d); False means "unknown", never "reducible".
+
+    g has degree n >= 2.  Take a prime p of small_split_primes(d) at which
+    the image f of g is defined and squarefree (gcd(f, f') = 1 over F_p,
+    as the distinct-degree count needs).  A monic factor h of g over K
+    maps to a factor of f of the same degree (see `_reduce_mod_p`), so
+    deg h is a sum of the degrees of some irreducible factors of f.  The
+    test intersects these sets of sums over up to DEGREE_SET_PRIMES such
+    primes and proves g irreducible only when just {0, n} is left.  Other
+    primes are skipped; d = -1 has none.
+    """
+    n = g.degree
+    possible, used = (1 << (n + 1)) - 1, 0
+    for p, s in small_split_primes(g.d):
+        f = _reduce_mod_p(g, p, s)
+        if f is None or _gcd_degree_mod_p(
+                f, _strip([i * c % p for i, c in enumerate(f)][1:]), p):
+            continue
+        sums = 1
+        for e in _factor_degrees_mod_p(f, p):
+            sums |= sums << e
+        possible &= sums
+        used += 1
+        if possible == 1 | 1 << n or used == DEGREE_SET_PRIMES:
+            return possible == 1 | 1 << n
+    return False
 
 
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor (gcd(0, 0) = 0).
 
-    When both inputs have degree >= 1, a modular test runs first.  Let p
-    be the first prime of FILTER_PRIMES that splits in K = Q(sqrt d) and
-    s a square root of d mod p; a + b*sqrt(d) -> a + b*s (mod p) is then
-    a ring homomorphism from the local ring O of K at a prime above p
-    onto F_p, defined on every a + b*sqrt(d) whose rationals a, b have
-    denominators prime to p.  If every coefficient of a and b lies there
-    and neither leading coefficient maps to 0, any monic common divisor g
-    of positive degree over K has coefficients in O (Gauss's lemma in the
-    discrete valuation ring O: a monic factor of a polynomial with
-    coefficients in O and unit leading coefficient has coefficients in
-    O), so its image is a common divisor of the images of a and b of the
-    same positive degree.  Hence a gcd of 1 over F_p proves a gcd of 1
-    over K, and 1 is returned, exactly what the Euclidean algorithm
+    When both inputs have degree >= 1, a modular test runs first, at the
+    first prime p of FILTER_PRIMES that splits in K = Q(sqrt d).  When
+    both images mod p are defined, a monic common divisor of positive
+    degree over K maps to a common divisor of the images of the same
+    degree (see `_reduce_mod_p`).  Hence a gcd of 1 over F_p proves a gcd
+    of 1 over K, and 1 is returned, exactly what the Euclidean algorithm
     returns for coprime inputs.  In every other case (no prime of the
     table splits, a denominator divisible by p, a leading coefficient
     that vanishes mod p, or a nontrivial gcd mod p) the exact Euclidean

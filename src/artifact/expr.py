@@ -333,21 +333,13 @@ def _term_text(c: QuadExt, mono: str) -> Tuple[bool, str]:
 def _join_terms(terms: List[Tuple[bool, str]]) -> str:
     if not terms:
         return "0"
-    out: List[str] = []
-    for idx, (negative, text) in enumerate(terms):
-        if idx == 0:
-            out.append(f"-{text}" if negative else text)
-        else:
-            out.append(f" - {text}" if negative else f" + {text}")
-    return "".join(out)
+    out = "".join(
+        [f" - {text}" if neg else f" + {text}" for neg, text in terms])
+    return ("-" if terms[0][0] else "") + out[3:]
 
 
 def _xi_mono(i: int) -> str:
-    if i == 0:
-        return ""
-    if i == 1:
-        return "xi"
-    return f"xi^{i}"
+    return "" if i == 0 else "xi" if i == 1 else f"xi^{i}"
 
 
 def format_poly(p: UPoly) -> str:
@@ -378,9 +370,7 @@ def format_bipoly(p: BiPoly) -> str:
             if c.is_zero():
                 continue
             xi_mono = _xi_mono(i)
-            if xi_mono and eta_mono:
-                mono = f"{xi_mono}*{eta_mono}"
-            else:
-                mono = xi_mono or eta_mono
+            mono = (f"{xi_mono}*{eta_mono}" if xi_mono and eta_mono
+                    else xi_mono or eta_mono)
             terms.append(_term_text(c, mono))
     return _join_terms(terms)

@@ -25,7 +25,7 @@ cross-validation of the certifier against closed-form expectations.
 
 from __future__ import annotations
 
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exactalg import (
@@ -150,13 +150,7 @@ def double_hopf_system(
         raise ValueError("chart must be 1 or 2")
     if chart == 2:
         system, curve = double_hopf_system(chart_two_params(p), chart=1)
-        system = PlanarSystem(
-            P=system.P,
-            Q=system.Q,
-            field=system.field,
-            label=p.describe() + " [chart 2]",
-        )
-        return system, curve
+        return replace(system, label=p.describe() + " [chart 2]"), curve
     F = p.field
     d = F.d
     rows_p = [
@@ -330,88 +324,29 @@ def _double_hopf_chart1_clauses(
     return (c1, c2, c3)
 
 
-def _double_hopf_chart2_clauses(
-    p: DoubleHopfParams,
-) -> Tuple[ClauseEvaluation, ...]:
-    # The swapped instance of the chart-1 clause list, written in the
-    # original parameters (the roles of mu and nu exchange, alpha becomes
-    # -beta*s, beta becomes alpha and s becomes -1).
-    mu, nu, alpha, beta = p.mu, p.nu, p.alpha, p.beta
-    s = p.s
-    nu_nonzero = not nu.is_zero()
-    ratio = mu / nu if nu_nonzero else None
-    beta_s = beta * s
-    prod1 = alpha * mu + nu
-    prod2 = beta * nu * s - mu - prod1
-    prods = [
-        ("alpha*mu + nu != 0", not prod1.is_zero()),
-        ("beta*nu*s - mu - (alpha*mu + nu) != 0", not prod2.is_zero()),
-    ]
-    c1 = _clause(
-        "i",
-        [
-            ("nu != 0", nu_nonzero),
-            (
-                "mu/nu not in Q",
-                None if ratio is None else not ratio.is_rational(),
-            ),
-            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
-            (
-                "beta*s - mu/nu - 2 not in Z>=0",
-                None if ratio is None
-                else not (beta_s - ratio - 2).is_nonneg_integer(),
-            ),
-            *prods,
-        ],
-    )
-    c2 = _clause(
-        "ii",
-        [
-            ("nu != 0", nu_nonzero),
-            (
-                "beta*s - mu/nu not in Q",
-                None if ratio is None else not (beta_s - ratio).is_rational(),
-            ),
-            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
-            *prods,
-        ],
-    )
-    c3 = _clause(
-        "iii",
-        [
-            ("nu == 0", nu.is_zero()),
-            ("mu != 0", not mu.is_zero()),
-            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
-            ("alpha != -1", alpha != -1),
-        ],
-    )
-    return (c1, c2, c3)
-
-
 def theorem_conditions(
     params: Union[FoldHopfParams, DoubleHopfParams], theorem_id: str
 ) -> TheoremClauseReport:
     """Evaluate the nonintegrability clause list for one family.
 
     theorem ids: "1.3" (fold-Hopf), "1.4" (double-Hopf near chart 1),
-    "1.5" (double-Hopf near chart 2).  Every sub-condition is an exact
-    membership test in Q(sqrt d); a sub-condition guarded by a failed
-    division (mu = 0 or nu = 0) is recorded as None.
+    "1.5" (double-Hopf near chart 2).  Chart 2 is chart 1 on the swapped
+    parameters, so Theorem 1.5 is Theorem 1.4's clause list evaluated on
+    chart_two_params(params), and its sub-condition labels read in the
+    swapped parameters.  Every sub-condition is an exact membership test
+    in Q(sqrt d); a sub-condition guarded by a failed division (mu = 0 or
+    nu = 0) is recorded as None.
     """
-    if theorem_id == "1.3":
-        if not isinstance(params, FoldHopfParams):
-            raise ValueError("theorem 1.3 applies to fold-Hopf parameters")
-        clauses = _fold_hopf_clauses(params)
-    elif theorem_id == "1.4":
-        if not isinstance(params, DoubleHopfParams):
-            raise ValueError("theorem 1.4 applies to double-Hopf parameters")
-        clauses = _double_hopf_chart1_clauses(params)
-    elif theorem_id == "1.5":
-        if not isinstance(params, DoubleHopfParams):
-            raise ValueError("theorem 1.5 applies to double-Hopf parameters")
-        clauses = _double_hopf_chart2_clauses(params)
-    else:
+    if theorem_id not in ("1.3", "1.4", "1.5"):
         raise ValueError(f"unknown theorem id: {theorem_id!r}")
+    kind = FoldHopfParams if theorem_id == "1.3" else DoubleHopfParams
+    if not isinstance(params, kind):
+        raise ValueError(f"theorem {theorem_id} applies to {kind.__name__}")
+    if theorem_id == "1.3":
+        clauses = _fold_hopf_clauses(params)
+    else:
+        clauses = _double_hopf_chart1_clauses(
+            params if theorem_id == "1.4" else chart_two_params(params))
     return TheoremClauseReport(
         theorem_id=theorem_id,
         clauses=clauses,

@@ -19,8 +19,10 @@
 * ``FractionPairQuadExt`` is field arithmetic on a pair of Fractions
   a + b*sqrt(d), the reference for the integer-triple ``QuadExt``;
 * ``fold_hopf_kappa`` and ``double_hopf_kappa`` are the paper's closed
-  forms of kappa_k for the two unfoldings, and ``clause`` looks up one
-  clause of a ``theorem_conditions`` report;
+  forms of kappa_k for the two unfoldings, ``clause`` looks up one
+  clause of a ``theorem_conditions`` report, and
+  ``double_hopf_chart2_clauses`` is Theorem 1.5's clause list written out
+  in the original parameters;
 * the exact-algebra members that only tests call: ``ratfunc_eval_mod``
   and ``constant_eval_mod`` (evaluation in K[xi]/(p)), ``recombine`` (a
   ``PartialFractions`` summed back into one ``RatFunc``), ``multiplicity``,
@@ -50,6 +52,7 @@ from artifact.unfoldings import (
     DoubleHopfParams,
     FoldHopfParams,
     TheoremClauseReport,
+    _clause,
 )
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -446,6 +449,65 @@ def clause(report: TheoremClauseReport, clause_id: str) -> ClauseEvaluation:
         if c.clause_id == clause_id:
             return c
     raise KeyError(clause_id)
+
+
+def double_hopf_chart2_clauses(
+    p: DoubleHopfParams,
+) -> Tuple[ClauseEvaluation, ...]:
+    """Theorem 1.5's clauses written out by hand in the original
+    parameters: the swapped instance of the chart-1 clause list (the roles
+    of mu and nu exchange, alpha becomes -beta*s, beta becomes alpha and s
+    becomes -1), the reference for theorem_conditions(p, "1.5")."""
+    mu, nu, alpha, beta = p.mu, p.nu, p.alpha, p.beta
+    s = p.s
+    nu_nonzero = not nu.is_zero()
+    ratio = mu / nu if nu_nonzero else None
+    beta_s = beta * s
+    prod1 = alpha * mu + nu
+    prod2 = beta * nu * s - mu - prod1
+    prods = [
+        ("alpha*mu + nu != 0", not prod1.is_zero()),
+        ("beta*nu*s - mu - (alpha*mu + nu) != 0", not prod2.is_zero()),
+    ]
+    c1 = _clause(
+        "i",
+        [
+            ("nu != 0", nu_nonzero),
+            (
+                "mu/nu not in Q",
+                None if ratio is None else not ratio.is_rational(),
+            ),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
+            (
+                "beta*s - mu/nu - 2 not in Z>=0",
+                None if ratio is None
+                else not (beta_s - ratio - 2).is_nonneg_integer(),
+            ),
+            *prods,
+        ],
+    )
+    c2 = _clause(
+        "ii",
+        [
+            ("nu != 0", nu_nonzero),
+            (
+                "beta*s - mu/nu not in Q",
+                None if ratio is None else not (beta_s - ratio).is_rational(),
+            ),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
+            *prods,
+        ],
+    )
+    c3 = _clause(
+        "iii",
+        [
+            ("nu == 0", nu.is_zero()),
+            ("mu != 0", not mu.is_zero()),
+            ("beta*s not in Z<=0", not beta_s.is_nonpos_integer()),
+            ("alpha != -1", alpha != -1),
+        ],
+    )
+    return (c1, c2, c3)
 
 
 def ratfunc_eval_mod(f: RatFunc, p: UPoly) -> UPoly:

@@ -508,6 +508,48 @@ def test_pipeline_value_errors_are_internal(tmp_path, monkeypatch, capsys):
     assert main(["sweep", write(tmp_path, "s.ini", SWEEP_INI)]) == EXIT_INTERNAL
 
 
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(INLINE_INI.replace("phi = 0", "phi = 0 ; caf\xe9").encode(
+        "latin-1"))
+    return ["check", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, message",
+    [
+        (_non_utf8_config, None, EXIT_USAGE,
+         "error: cannot parse config file {tmp}/latin1.ini: "),
+        (lambda tmp: FOLD_HOPF_ARGV + ["--json", f"{tmp}/no/such.json"],
+         None, EXIT_USAGE,
+         "error: cannot write {tmp}/no/such.json: No such file or directory"),
+        (lambda tmp: ["sweep", write(tmp, "s.ini", SWEEP_INI),
+                      "--json", f"{tmp}/no/such.json"],
+         None, EXIT_USAGE,
+         "error: cannot write {tmp}/no/such.json: No such file or directory"),
+        (lambda tmp: FOLD_HOPF_ARGV, ZeroDivisionError("boom"), EXIT_INTERNAL,
+         "internal error: ZeroDivisionError: boom"),
+        (lambda tmp: ["sweep", write(tmp, "s.ini", SWEEP_INI)],
+         ZeroDivisionError("boom"), EXIT_INTERNAL, None),
+    ],
+    ids=["non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
+         "unexpected-exception", "sweep-unexpected-exception"],
+)
+def test_every_failure_is_classified(tmp_path, monkeypatch, capsys,
+                                     argv, patch, code, message):
+    """Each input ends with a classified exit code and no traceback."""
+    if patch is not None:
+        _patch_certify(monkeypatch, [patch])
+    assert main(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if message is not None:
+        assert captured.err.startswith(message.format(tmp=tmp_path))
+    else:
+        assert ("[0] nu=1 alpha=rt -> error: internal error: "
+                "ZeroDivisionError: boom") in captured.out
+
+
 def test_run_check_builds_the_system_once(tmp_path, monkeypatch):
     spec = load_config(write(tmp_path, "a.ini", BUILTIN_INI))
     expected = run_check(spec).to_json()

@@ -616,9 +616,9 @@ def test_certify_expands_kappa_only_to_the_firing_order(F2):
 
 
 def test_certify_factors_each_pole_class_once(F2, monkeypatch):
-    """The quartic pole class reaches sympy once per certificate, in the
-    factorization of a_0, and nothing is kept from one certificate for
-    the next."""
+    """The control quartic, which splits over Q(sqrt 2), reaches sympy
+    once per certificate, in the factorization of a_0, and nothing is
+    kept from one certificate for the next."""
     from artifact.exactalg import factorization
     from artifact.expr import parse_bipoly
     from artifact.varcalc import CurveData, PlanarSystem
@@ -630,16 +630,53 @@ def test_certify_factors_each_pole_class_once(F2, monkeypatch):
         lambda g: calls.append(g) or split(g),
     )
     system = PlanarSystem(
-        P=parse_bipoly("xi^4 + xi + 1 + eta^2", F2),
+        P=parse_bipoly("xi^4 - 10*xi^2 + 1 + eta^2", F2),
         Q=parse_bipoly("eta*(rt*xi + 1) + eta^2", F2),
         field=F2,
     )
     curve = CurveData(phi=RatFunc.zero(2))
-    cert = certify(system, curve, K=25)
+    cert = certify(system, curve, K=9)
     assert (cert.fired_k, cert.fired_criterion) == (2, "iv")
-    assert calls == [xp(1, 1, 0, 0, 1)]
-    certify(system, curve, K=25)
+    assert calls == [xp(1, 0, -10, 0, 1)]
+    certify(system, curve, K=9)
     assert len(calls) == 2
+
+
+_QUARTIC_WITHOUT_SYMPY = """
+import sys
+from artifact.criteria import certify
+from artifact.exactalg import FieldSpec, RatFunc
+from artifact.expr import parse_bipoly
+from artifact.varcalc import CurveData, PlanarSystem
+
+F = FieldSpec(2)
+system = PlanarSystem(
+    P=parse_bipoly("xi^4 + xi + 1 + eta^2", F),
+    Q=parse_bipoly("eta*(rt*xi + 1) + eta^2", F),
+    field=F,
+)
+cert = certify(system, CurveData(phi=RatFunc.zero(2)), K=25)
+print(cert.status, cert.fired_k, cert.fired_criterion, "sympy" in sys.modules)
+"""
+
+
+def test_certify_the_quartic_without_importing_sympy():
+    """The modular test proves xi^4 + xi + 1 irreducible over Q(sqrt 2),
+    so the quartic certifies at K = 25 and sympy is never imported."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _QUARTIC_WITHOUT_SYMPY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["nonintegrable", "2", "iv", "False"]
 
 
 def test_certify_calls_factor_irreducible_once(F2, rt2, monkeypatch):

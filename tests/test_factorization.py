@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from artifact.exactalg import (
+    FieldSpec,
     RatFunc,
     UPoly,
     coprime,
@@ -15,6 +16,14 @@ from artifact.exactalg import (
     partial_fractions,
     poly_gcd,
 )
+from artifact.exactalg.factorization import _split_with_sympy
+from artifact.exactalg.upoly import (
+    _factor_degrees_mod_p,
+    _gcd_degree_mod_p,
+    proven_irreducible,
+    small_split_primes,
+)
+from artifact.expr import parse_ratfunc
 
 from conftest import rand_ratfunc, rand_upoly
 from oracles import constant_eval_mod, monomial, pole_classes, recombine
@@ -151,3 +160,71 @@ def test_partial_fractions_term_shape(F2):
         (tuple(p2.coeffs), 1),
     }
     assert recombine(pf) == f
+
+
+def _monic(text, d):
+    return parse_ratfunc(text, FieldSpec(d)).num.monic()
+
+
+def _rand_monic(rng, F, degree):
+    # small integral coefficients keep sympy's norm-based factorizer quick
+    coeffs = [F(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(degree)]
+    return UPoly(coeffs + [F(1)], F.d)
+
+
+def test_factor_degrees_mod_p_match_sympy():
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    rng = random.Random(59)
+    p = small_split_primes(2)[0][0]
+    checked = 0
+    for _ in range(40):
+        f = [rng.randrange(p) for _ in range(rng.randint(2, 9))] + [1]
+        df = [i * c % p for i, c in enumerate(f)][1:]
+        if _gcd_degree_mod_p(f, df, p) != 0:
+            continue
+        _, factors = Poly(f[::-1], x, modulus=p).factor_list()
+        expected = sorted(Poly(h, x).degree() for h, _ in factors)
+        assert sorted(_factor_degrees_mod_p(f, p)) == expected
+        checked += 1
+    assert checked > 30
+
+
+def test_degree_set_proofs_agree_with_sympy():
+    """Whenever the modular test proves g irreducible, sympy finds one
+    factor; a product is never proven, and d = -1 never is."""
+    rng = random.Random(61)
+    proven = 0
+    for d in (2, 3, 5, -3, -1):
+        F = FieldSpec(d)
+        for _ in range(6):
+            g = _rand_monic(rng, F, rng.randint(3, 8))
+            if poly_gcd(g, g.derivative()).degree > 0:
+                continue
+            product = g * _rand_monic(rng, F, rng.randint(1, 3))
+            assert not proven_irreducible(product)
+            if proven_irreducible(g):
+                assert d != -1
+                assert _split_with_sympy(g) == [g]
+                proven += 1
+    assert proven >= 20
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("xi^4 + 1", 3),  # irreducible, but reducible mod every prime
+        ("xi^4 - 10*xi^2 + 1", 2),  # (xi^2 - 2*rt*xi - 1)(xi^2 + 2*rt*xi - 1)
+        ("(xi^3 + xi + 1)*(xi^3 - 2*xi + 5)", 2),
+        ("xi^4 + xi + 1", -1),  # no prime of the test splits
+    ],
+)
+def test_degree_set_controls_fall_through(text, d):
+    assert not proven_irreducible(_monic(text, d))
+
+
+def test_degree_set_proves_the_quartic_class():
+    g = _monic("xi^4 + xi + 1", 2)
+    assert proven_irreducible(g)
+    assert [c.factor for c in factor_irreducible(g)] == [g]

@@ -90,7 +90,7 @@ def _drive_product(tmp_path: Path) -> None:
     commands = (
         (0, ["check", str(inline), "--json", "-"]),
         (0, ["fold-hopf", "--mu", "-1", "--nu", "1", "--alpha", "rt",
-             "--d", "2"]),
+             "--d", "2", "--json", str(tmp_path / "fold-hopf.json")]),
         (0, ["double-hopf", "--mu", "1", "--nu", "rt", "--alpha", "1/2",
              "--beta", "1", "--chart", "2", "--d", "2"]),
         (0, ["sweep", str(grid)]),

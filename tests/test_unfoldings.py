@@ -19,6 +19,7 @@ from artifact.varcalc import kappa_coefficients
 from conftest import rand_scalar
 from oracles import (
     clause,
+    double_hopf_chart2_clauses,
     double_hopf_kappa,
     eval_eta,
     eval_point,
@@ -216,11 +217,15 @@ def test_theorem_conditions_chart2_matches_swap(F2, rt2):
             rand_scalar(rng, F2, 3),
             s=rng.choice((1, -1)),
         )
-        direct = theorem_conditions(p, "1.5")
-        swapped = theorem_conditions(chart_two_params(p), "1.4")
-        assert direct.any_clause_holds == swapped.any_clause_holds
-        for cid in ("i", "ii", "iii"):
-            assert clause(direct, cid).holds == clause(swapped, cid).holds
+        derived = theorem_conditions(p, "1.5")
+        by_hand = double_hopf_chart2_clauses(p)
+        assert [c.clause_id for c in derived.clauses] == ["i", "ii", "iii"]
+        assert [c.holds for c in derived.clauses] == [c.holds for c in by_hand]
+        assert derived.any_clause_holds == any(c.holds for c in by_hand)
+        # term by term: the swap maps each sub-condition onto its twin
+        for a, b in zip(derived.clauses, by_hand):
+            assert [ok for _, ok in a.subconditions] == [
+                ok for _, ok in b.subconditions]
 
 
 def test_theorem_conditions_rejects_mismatched_params(F2, rt2):
