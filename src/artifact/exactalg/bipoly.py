@@ -41,6 +41,9 @@ class BiPoly:
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("BiPoly is immutable")
 
+    def __reduce__(self):
+        return BiPoly, (self.rows, self.d)
+
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
@@ -140,12 +143,8 @@ class BiPoly:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         result = BiPoly.constant(1, self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:  # left to right: no square past the last bit
+            result = result * result * self if bit == "1" else result * result
         return result
 
     # -- plumbing -----------------------------------------------------------------------

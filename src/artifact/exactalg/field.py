@@ -98,6 +98,9 @@ class QuadExt:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):
+        return _make, (self.p, self.q, self.r, self.d)
+
     @property
     def a(self) -> Fraction:
         return Fraction(self.p, self.r)
@@ -320,6 +323,9 @@ class FieldSpec:
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("FieldSpec is immutable")
+
+    def __reduce__(self):
+        return FieldSpec, (self.d,)
 
     def __call__(self, a: Union[Rat, "QuadExt"] = 0, b: Rat = 0) -> QuadExt:
         if isinstance(a, QuadExt):

@@ -50,6 +50,9 @@ class RatFunc:
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        return RatFunc.from_coprime, (self.num, self.den)
+
     # -- constructors -----------------------------------------------------------
 
     @staticmethod

@@ -26,6 +26,10 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from .exactalg import BiPoly, FieldSpec, QuadExt, RatFunc, UPoly
 
 _MAX_EXPONENT = 512
+# Deepest parenthesis nesting and longest integer literal accepted: well
+# below the interpreter's recursion limit and its int-string limit.
+_MAX_NESTING = 100
+_MAX_DIGITS = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -50,7 +54,7 @@ _OPS = "+-*/^()"
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line, col = 1, 1
+    line, col, depth = 1, 1, 0
     i = 0
     n = len(text)
     while i < n:
@@ -68,6 +72,10 @@ def _tokenize(text: str) -> List[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ExprSyntaxError(f"integer literal of {j - i} digits "
+                                      f"exceeds the limit {_MAX_DIGITS}",
+                                      line, col)
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
             i = j
@@ -84,6 +92,10 @@ def _tokenize(text: str) -> List[_Token]:
             i = j
             continue
         if ch in _OPS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                raise ExprSyntaxError("parentheses nested deeper than the "
+                                      f"limit {_MAX_NESTING}", line, col)
             tokens.append(_Token("OP", ch, line, col))
             col += 1
             i += 1

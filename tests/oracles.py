@@ -18,6 +18,11 @@
   ``omega_decompose`` with such classes;
 * ``FractionPairQuadExt`` is field arithmetic on a pair of Fractions
   a + b*sqrt(d), the reference for the integer-triple ``QuadExt``;
+* ``schoolbook_mul``, ``schoolbook_add``, ``schoolbook_scale`` and
+  ``schoolbook_divmod`` are the ``UPoly`` ring operations written as
+  ``QuadExt`` operations, one coefficient (pair) at a time, with every
+  result built by the coercing ``UPoly(...)``: the reference for the
+  integer kernels inside ``UPoly``;
 * ``fold_hopf_kappa`` and ``double_hopf_kappa`` are the paper's closed
   forms of kappa_k for the two unfoldings, ``clause`` looks up one
   clause of a ``theorem_conditions`` report, and
@@ -597,3 +602,37 @@ def as_fraction(c: QuadExt) -> Fraction:
 def conjugate(c: QuadExt) -> QuadExt:
     """The field conjugate a - b*sqrt(d)."""
     return QuadExt(c.a, -c.b, c.d)
+
+
+def schoolbook_mul(a: UPoly, b: UPoly) -> UPoly:
+    """a*b as one QuadExt multiply and one add per coefficient pair."""
+    d = a.d
+    if a.is_zero() or b.is_zero():
+        return UPoly.zero(d)
+    out = [QuadExt(0, 0, d)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return UPoly(out, d)
+
+
+def schoolbook_add(a: UPoly, b: UPoly, sign: int = 1) -> UPoly:
+    """a + sign*b, coefficient by coefficient."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return UPoly([a.coeff(i) + b.coeff(i) * sign for i in range(n)], a.d)
+
+
+def schoolbook_scale(a: UPoly, c: Scalar) -> UPoly:
+    """c*a, one QuadExt multiply per coefficient."""
+    return UPoly([x * c for x in a.coeffs], a.d)
+
+
+def schoolbook_divmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
+    """Long division: (q, r) with a = q*b + r and deg r < deg b."""
+    d = a.d
+    q, r = UPoly.zero(d), a
+    while r.degree >= b.degree:
+        shift = len(r.coeffs) - len(b.coeffs)
+        t = UPoly([0] * shift + [r.lc() / b.lc()], d)
+        q, r = schoolbook_add(q, t), schoolbook_add(r, schoolbook_mul(t, b), -1)
+    return q, r

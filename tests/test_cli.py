@@ -1,7 +1,10 @@
 """Command-line interface: configs, JSON documents, exit codes, sweep."""
 
+import copy
 import json
+import pickle
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +24,7 @@ from artifact.cli import (
     run_check,
     sweep,
 )
-from artifact.exactalg import FieldSpec
+from artifact.exactalg import BiPoly, FieldSpec, RatFunc, UPoly
 from artifact.unfoldings import FAMILIES, DoubleHopfParams, FoldHopfParams
 from artifact.varcalc import CurveInSingularLocusError, InvalidInputError
 
@@ -515,9 +518,21 @@ def _non_utf8_config(tmp_path):
     return ["check", str(path)]
 
 
+def _inline_p(tmp_path, term):
+    """A check of INLINE_INI with P = eta^2 + term."""
+    return ["check", write(tmp_path, "p.ini", INLINE_INI.replace(
+        "P = eta^2 + xi^2 - 1", f"P = eta^2 + {term}"))]
+
+
 @pytest.mark.parametrize(
     "argv, patch, code, message",
     [
+        (lambda tmp: _inline_p(tmp, "(" * 250 + "xi" + ")" * 250), None,
+         EXIT_USAGE, "error: [system] P: line 1, column 109: parentheses "
+         "nested deeper than the limit 100\n"),
+        (lambda tmp: _inline_p(tmp, "9" * 5000 + "*xi"), None, EXIT_USAGE,
+         "error: [system] P: line 1, column 9: integer literal of 5000 "
+         "digits exceeds the limit 1000\n"),
         (_non_utf8_config, None, EXIT_USAGE,
          "error: cannot parse config file {tmp}/latin1.ini: "),
         (lambda tmp: FOLD_HOPF_ARGV + ["--json", f"{tmp}/no/such.json"],
@@ -532,7 +547,8 @@ def _non_utf8_config(tmp_path):
         (lambda tmp: ["sweep", write(tmp, "s.ini", SWEEP_INI)],
          ZeroDivisionError("boom"), EXIT_INTERNAL, None),
     ],
-    ids=["non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
+    ids=["nested-parentheses", "long-literal",
+         "non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
          "unexpected-exception", "sweep-unexpected-exception"],
 )
 def test_every_failure_is_classified(tmp_path, monkeypatch, capsys,
@@ -548,6 +564,25 @@ def test_every_failure_is_classified(tmp_path, monkeypatch, capsys,
     else:
         assert ("[0] nu=1 alpha=rt -> error: internal error: "
                 "ZeroDivisionError: boom") in captured.out
+
+
+def _copies(value):
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value)
+
+
+def test_values_and_documents_survive_pickle_and_deepcopy(tmp_path):
+    F = FieldSpec(2)
+    c = F(Fraction(-1, 6), Fraction(3, 4))
+    p = UPoly([c, 0, Fraction(2, 3), 1], 2)
+    for value in (F, c, p, BiPoly([p, UPoly.zero(2), p * p], 2),
+                  RatFunc(p, p * p + 1)):
+        for twin in _copies(value):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+    doc = run_check(load_config(write(tmp_path, "a.ini", BUILTIN_INI)))
+    for twin in _copies(doc):
+        assert twin == doc and twin.to_json() == doc.to_json()
 
 
 def test_run_check_builds_the_system_once(tmp_path, monkeypatch):

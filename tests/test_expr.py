@@ -75,6 +75,18 @@ def test_parse_errors_carry_position(F2, F1):
         parse_bipoly("", F2)
 
 
+def test_parse_caps_nesting_and_literal_digits(F2):
+    assert parse_bipoly("(" * 100 + "xi" + ")" * 100, F2) == BiPoly.var_xi(2)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_bipoly("1 + " + "(" * 101 + "xi" + ")" * 101, F2)
+    assert info.value.column == 105 and "limit 100" in str(info.value)
+    big = int("9" * 1000)
+    assert parse_bipoly("9" * 1000, F2) == BiPoly.constant(big, 2)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_bipoly("xi^2 + " + "9" * 1001, F2)
+    assert info.value.column == 8 and "limit 1000" in str(info.value)
+
+
 def test_format_scalar_shapes(F2, rt2):
     assert format_scalar(F2(0)) == "0"
     assert format_scalar(F2(Fraction(-3, 4))) == "-3/4"

@@ -16,11 +16,19 @@ from artifact.exactalg import (
     squarefree_part,
     strip_power_of_x,
 )
-from artifact.exactalg import upoly
+from artifact.exactalg import field, upoly
 from artifact.exactalg.upoly import FILTER_PRIMES, split_prime
 
 from conftest import rand_scalar, rand_upoly
-from oracles import monomial, multiplicity, poly_eval
+from oracles import (
+    monomial,
+    multiplicity,
+    poly_eval,
+    schoolbook_add,
+    schoolbook_divmod,
+    schoolbook_mul,
+    schoolbook_scale,
+)
 
 
 def xp(*coeffs, d=2):
@@ -193,6 +201,71 @@ def test_monic_and_scale(F2, rt2):
     assert m == f.scale(F2(1) / F2(4))
     g = xp(0, rt2)
     assert g.monic() == UPoly.x(2)
+
+
+# -- the integer kernels against the QuadExt schoolbook -------------------------
+
+
+def _kernel_operand(rng, F, kind):
+    """A polynomial of the given kind: "zero", "constant", "rational" or
+    "surd", with zero coefficients inside and at the low end and mixed
+    denominators; the coefficient list may end in zeros."""
+    if kind == "zero":
+        return UPoly([0] * rng.randint(0, 2), F.d)
+    n = 1 if kind == "constant" else rng.randint(2, 9)
+    cs = []
+    for _ in range(n):
+        a = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+        b = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 9)))
+        cs.append(0 if rng.random() < 0.25 else
+                  F(a, b) if kind == "surd" and F.d != 1 else a)
+    if not any(cs):
+        cs[-1] = 1
+    return UPoly(cs + [0] * rng.randint(0, 1), F.d)
+
+
+def test_ring_operations_match_the_schoolbook_oracle():
+    rng = random.Random(24)
+    kinds = ("zero", "constant", "rational", "surd")
+    for d in (1, 2, 5, -1, -3):
+        F = FieldSpec(d)
+        for i in range(64):
+            a = _kernel_operand(rng, F, kinds[i % 4])
+            b = _kernel_operand(rng, F, kinds[i // 4 % 4])
+            for got, want in ((a * b, schoolbook_mul(a, b)),
+                              (a + b, schoolbook_add(a, b)),
+                              (a - b, schoolbook_add(a, b, -1))):
+                assert got == want and hash(got) == hash(want)
+            if not b.is_zero():
+                assert divmod(a, b) == schoolbook_divmod(a, b)
+            power = UPoly.one(d)
+            for e in range(4):
+                assert a**e == power
+                power = schoolbook_mul(power, a)
+            for c in (0, -3, Fraction(5, 6), F(Fraction(1, 2), 3)):
+                assert a * c == schoolbook_scale(a, c) == c * a
+
+
+def test_product_makes_one_field_element_per_output_coefficient(monkeypatch):
+    rng = random.Random(5)
+    F, n = FieldSpec(2), 12
+    a, b = (UPoly([F(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     rng.randint(-9, 9)) for _ in range(n - 1)] + [1], 2)
+            for _ in range(2))
+    calls = []
+    make = field._make
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(field, "_make", counted)
+    monkeypatch.setattr(upoly, "_make", counted)
+    product = a * b
+    assert len(calls) <= 2 * n - 1
+    calls.clear()
+    assert schoolbook_mul(a, b) == product
+    assert len(calls) >= 2 * n * n
 
 
 # -- the modular coprimality test in poly_gcd ----------------------------------
