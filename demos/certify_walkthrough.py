@@ -63,7 +63,7 @@ def main() -> None:
         )
     for cls in part.new:
         print(f"  new class {format_poly(cls.factor)}: exponent ak = {cls.ak}")
-    prof = simplicity_profile(k1, part, k)
+    prof = simplicity_profile(om, part, k)
     for cls in prof.classes:
         print(
             f"  simplicity at {format_poly(cls.factor)}:"

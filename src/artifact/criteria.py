@@ -29,8 +29,6 @@ from .exactalg import (
     RatFunc,
     UPoly,
     coprime,
-    eval_mod,
-    inverse_mod,
     squarefree_part,
 )
 from .varcalc import (
@@ -165,8 +163,8 @@ class ClassSimplicity:
 
     bad_b is the unique value of b at which simplicity fails, or None
     when no value can break it.  Failure requires the class root to be a
-    simple root of the kappa_1 denominator and the associated evaluation
-    to be constant across the conjugate roots.
+    simple root of the kappa_1 denominator and the residue of kappa_1
+    there to be constant across the conjugate roots.
     """
 
     factor: UPoly
@@ -201,28 +199,28 @@ class SimplicityProfile:
 
 
 def simplicity_profile(
-    kappa1: RatFunc, part: RootPartition, k: int
+    om: OmegaData, part: RootPartition, k: int
 ) -> SimplicityProfile:
     """Locate, per shared class, the multiplier value that breaks simplicity.
 
     At a shared root xi* with exponent a1, the auxiliary polynomial has a
-    double root exactly when b = (k-1)*kappa_1n(xi*)/kappa_1d'(xi*)
-    - a1 + 1.  The evaluation is carried out in K[xi]/(p); a non-constant
-    result, or kappa_1d' = 0 at the class (multiple root of the
-    denominator), means no natural b can break simplicity.
+    double root exactly when b = (k-1)*res - a1 + 1, res the residue of
+    kappa_1 at xi*.  That residue is Omega's, read off om.residues as an
+    element of K[xi]/(p) (a class without an entry has residue 0).  A
+    multiple pole of kappa_1 (b1 >= 2, where kappa_1d' vanishes at the
+    class) or a non-constant residue means no natural b can break
+    simplicity.
     """
-    dk1d = kappa1.den.derivative()
+    residues = {e.cls.factor: e.residue for e in om.residues}
+    zero = UPoly.zero(om.kappa1.d)
     classes: List[ClassSimplicity] = []
     for c in part.shared:
-        p = c.factor
         bad: Optional[QuadExt] = None
-        if coprime(dk1d, p):
-            rep = eval_mod(
-                (kappa1.num * (k - 1)) * inverse_mod(dk1d, p), p
-            )
+        if c.b1 == 1:
+            rep = residues.get(c.factor, zero) * (k - 1)
             if rep.degree <= 0:
                 bad = rep.coeff(0) - c.a1 + 1
-        classes.append(ClassSimplicity(factor=p, a1=c.a1, bad_b=bad))
+        classes.append(ClassSimplicity(factor=c.factor, a1=c.a1, bad_b=bad))
     return SimplicityProfile(k=k, classes=tuple(classes))
 
 
@@ -683,7 +681,8 @@ def certify(
     The one factorization is that of a_0 in kappa_coefficients, which
     also checks that the curve is integral; the pole classes of every
     kappa_k come with it (VariationalData.classes) and flow to
-    omega_decompose and to every partition.
+    omega_decompose and to every partition, and Omega's residues feed
+    every simplicity profile.
     Input it cannot certify raises InvalidInputError.
     """
     if not 2 <= K <= MAX_ORDER_CAP:
@@ -729,7 +728,7 @@ def certify(
             outcomes.append(_skipped_outcome(k))
             trace.append(f"k={k}: kappa_k = 0, skipped")
             continue
-        prof = simplicity_profile(kappa1, part, k)
+        prof = simplicity_profile(om, part, k)
         outcome = criterion_scan(k, kappa1, kappak, part, prof)
         outcomes.append(outcome)
         if outcome.fired is not None:

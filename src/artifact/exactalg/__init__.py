@@ -2,19 +2,16 @@
 
 Layers, bottom up: field elements (QuadExt), univariate polynomials
 (UPoly), reduced rational functions (RatFunc), bivariate polynomials
-(BiPoly), and irreducible factorization with quotient-ring evaluation
-and partial fractions.  Everything is immutable, exact, and pure.
+(BiPoly), and irreducible factorization with quotient-ring evaluation.
+Everything is immutable, exact, and pure.
 """
 
 from .bipoly import BiPoly
 from .factorization import (
     FactorClass,
-    PartialFractions,
-    PFTerm,
     coprime,
     eval_mod,
     factor_irreducible,
-    partial_fractions,
 )
 from .field import FieldSpec, QuadExt, is_rational_square
 from .ratfunc import RatFunc
@@ -34,8 +31,6 @@ __all__ = [
     "FactorClass",
     "FieldSpec",
     "NEG_INF",
-    "PFTerm",
-    "PartialFractions",
     "QuadExt",
     "RatFunc",
     "UPoly",
@@ -44,7 +39,6 @@ __all__ = [
     "factor_irreducible",
     "inverse_mod",
     "is_rational_square",
-    "partial_fractions",
     "poly_gcd",
     "poly_xgcd",
     "squarefree_decompose",

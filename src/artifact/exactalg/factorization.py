@@ -1,5 +1,4 @@
-"""Irreducible factorization over Q(sqrt d), quotient-ring evaluation,
-and full partial-fraction decomposition.
+"""Irreducible factorization over Q(sqrt d) and quotient-ring evaluation.
 
 Factorization is staged for speed: powers of xi are stripped first, Yun's
 squarefree decomposition separates multiplicities, linear parts are
@@ -13,20 +12,19 @@ polynomial per certificate, a_0 (see varcalc), whose factors carry every
 pole it meets.
 Evaluations "at a root" are carried out in the quotient ring K[xi]/(p)
 so that conjugate roots are handled as one class and no splitting field
-is ever constructed.
+is ever constructed; the residues of kappa_1 are such elements, one per
+class (see varcalc.omega_decompose).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List
 
 from .field import QuadExt
-from .ratfunc import RatFunc
 from .upoly import (
     UPoly,
-    inverse_mod,
     poly_gcd,
     proven_irreducible,
     squarefree_decompose,
@@ -160,55 +158,6 @@ def eval_mod(a: UPoly, p: UPoly) -> UPoly:
     if not p.is_monic():
         raise ValueError("modulus must be monic")
     return a % p
-
-
-@dataclass(frozen=True)
-class PFTerm:
-    """One partial-fraction term numerator/factor^order, deg num < deg factor."""
-
-    factor: UPoly
-    order: int
-    numerator: UPoly
-
-
-@dataclass(frozen=True)
-class PartialFractions:
-    """f = poly_part + sum of terms num/(p^order), fully split over the field."""
-
-    poly_part: UPoly
-    terms: Tuple[PFTerm, ...]
-
-
-def partial_fractions(
-    f: RatFunc, classes: Sequence[FactorClass]
-) -> PartialFractions:
-    """Full partial-fraction decomposition over Q(sqrt d).
-
-    classes is the irreducible factorization of f's denominator.  Each
-    class component is extracted by inverting the cofactor modulo p^m and
-    then expanded into p-adic digits, so every term numerator has degree
-    below the degree of its factor.
-    """
-    poly_part, proper = f.proper_parts()
-    if proper.is_zero():
-        return PartialFractions(poly_part, ())
-    num, den = proper.num, proper.den
-    terms: List[PFTerm] = []
-    for cls in classes:
-        p, m = cls.factor, cls.multiplicity
-        pm = p**m
-        cofactor = den.exact_div(pm)
-        component = (num % pm) * inverse_mod(cofactor % pm, pm) % pm
-        digits: List[UPoly] = []
-        r = component
-        for _ in range(m):
-            r, digit = divmod(r, p)
-            digits.append(digit)
-        for j, digit in enumerate(digits):
-            if not digit.is_zero():
-                terms.append(PFTerm(p, m - j, digit))
-    terms.sort(key=lambda t: (t.factor.sort_key(), t.order))
-    return PartialFractions(poly_part, tuple(terms))
 
 
 def coprime(a: UPoly, b: UPoly) -> bool:

@@ -9,7 +9,7 @@ are well defined, which the degree-comparison criteria rely on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Union
 
 from .field import QuadExt
 from .upoly import UPoly, poly_gcd
@@ -160,11 +160,6 @@ class RatFunc:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def proper_parts(self) -> Tuple[UPoly, "RatFunc"]:
-        """Writes self = poly + proper, with deg(proper num) < deg den."""
-        q, r = divmod(self.num, self.den)
-        return q, RatFunc(r, self.den)
 
     # -- plumbing ------------------------------------------------------------------
 

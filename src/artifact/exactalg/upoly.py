@@ -11,14 +11,15 @@ denominator per operand, and each result coefficient is built once by
 `field._make`, so it is the same canonical triple as the QuadExt route.
 
 `poly_gcd` first runs a one-sided modular test: it reduces both inputs
-modulo a prime p that splits in Q(sqrt d) and returns 1 at once when
-their gcd over F_p is 1.  The test only ever answers "coprime"; every
-other case, including the ones where the reduction is not defined or
-drops a degree, runs the exact Euclidean algorithm.  Its soundness is
-argued in the docstring of `poly_gcd`.  `proven_irreducible` runs
-Musser's degree-set test on the same reduction at small split primes;
-it only ever answers "irreducible".  The reductions use Python integers
-only, so no floating point enters the decision.
+modulo the first prime p of `small_split_primes` (p = 3 mod 4, just
+above 2^14, split in Q(sqrt d)) and returns 1 at once when their gcd
+over F_p is 1.  The test only ever answers "coprime"; every other case,
+including the ones where the reduction is not defined or drops a
+degree, runs the exact Euclidean algorithm.  `proven_irreducible` runs
+Musser's degree-set test on the same reduction at the primes of the
+same table; it only ever answers "irreducible".  Both are sound for the
+one reason argued in the docstring of `_reduce_mod_p`.  The reductions
+use Python integers only, so no floating point enters the decision.
 """
 
 from __future__ import annotations
@@ -295,25 +296,18 @@ def _convolve(a: List[int], b: List[int]) -> List[int]:
 # -- classical algorithms ------------------------------------------------------
 
 
-#: Primes p = 3 (mod 4) just below 2^61 for the modular coprimality test.
-#: For p = 3 (mod 4), a square x mod p has the square root x^((p+1)/4).
-FILTER_PRIMES = tuple(2**61 - k for k in (
-    1, 45, 229, 465, 829, 985, 1153, 1281,
-    1425, 1489, 1525, 1533, 1609, 1621, 1669, 1741,
-))
-
-
 @lru_cache(maxsize=16)
-def split_prime(d: int) -> Optional[Tuple[int, int]]:
-    """The first p in FILTER_PRIMES with (d/p) = 1, and s with s^2 = d mod p.
-
-    None when no prime of the table splits in Q(sqrt d).
-    """
-    for p in FILTER_PRIMES:
-        r = d % p
-        if pow(r, (p - 1) // 2, p) == 1:
-            return p, pow(r, (p + 1) // 4, p)
-    return None
+def small_split_primes(d: int) -> Tuple[Tuple[int, int], ...]:
+    """(p, s) with s^2 = d mod p for the primes p = 3 (mod 4) in
+    (2^14, 2^14 + 2^11) that split in Q(sqrt d), about 50; none for
+    d = -1.  For p = 3 (mod 4), a square x mod p has the square root
+    x^((p+1)/4).  A product of two residues is a one-digit Python int:
+    with primes just below 2^61 the degree-set test ran 3-6 times slower
+    and the gcd filter on a degree-32 pair 2.7 times slower."""
+    return tuple((p, pow(d % p, (p + 1) // 4, p))
+                 for p in range(2**14 + 3, 2**14 + 2**11, 4)
+                 if all(p % q for q in range(3, isqrt(p) + 1, 2))
+                 and pow(d % p, (p - 1) // 2, p) == 1)
 
 
 def _reduce_mod_p(f: UPoly, p: int, s: int) -> Optional[List[int]]:
@@ -369,14 +363,13 @@ def _gcd_degree_mod_p(f: List[int], g: List[int], p: int) -> int:
 
 
 def _coprime_mod_p(a: UPoly, b: UPoly) -> bool:
-    """True only if gcd(a, b) = 1 is proven by the images mod a split prime.
-
-    False means "unknown", never "not coprime".
-    """
-    split = split_prime(a.d)
-    if split is None:
+    """True only if gcd(a, b) = 1 is proven by the images mod the first
+    prime of small_split_primes; False means "unknown", never "not
+    coprime"."""
+    primes = small_split_primes(a.d)
+    if not primes:
         return False
-    p, s = split
+    p, s = primes[0]
     f = _reduce_mod_p(a, p, s)
     g = _reduce_mod_p(b, p, s)
     if f is None or g is None:
@@ -388,25 +381,9 @@ def _coprime_mod_p(a: UPoly, b: UPoly) -> bool:
 DEGREE_SET_PRIMES = 8
 
 
-@lru_cache(maxsize=16)
-def small_split_primes(d: int) -> Tuple[Tuple[int, int], ...]:
-    """(p, s) with s^2 = d mod p for the primes p = 3 (mod 4) in
-    (2^14, 2^14 + 2^11) that split in Q(sqrt d), about 50; none for
-    d = -1.  A product of two residues is a one-digit Python int: with
-    FILTER_PRIMES the degree-set test ran 3-6 times slower."""
-    return tuple((p, pow(d % p, (p + 1) // 4, p))
-                 for p in range(2**14 + 3, 2**14 + 2**11, 4)
-                 if all(p % q for q in range(3, isqrt(p) + 1, 2))
-                 and pow(d % p, (p - 1) // 2, p) == 1)
-
-
 def _mulmod_p(a: List[int], b: List[int], f: List[int], p: int) -> List[int]:
     """a*b mod f over F_p, for nonzero ascending lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, e in enumerate(b):
-            out[i + j] += c * e
-    return _rem_mod_p([c % p for c in out], f, p)
+    return _rem_mod_p([c % p for c in _convolve(a, b)], f, p)
 
 
 def _factor_degrees_mod_p(f: List[int], p: int) -> List[int]:
@@ -477,16 +454,16 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor (gcd(0, 0) = 0).
 
     When both inputs have degree >= 1, a modular test runs first, at the
-    first prime p of FILTER_PRIMES that splits in K = Q(sqrt d).  When
-    both images mod p are defined, a monic common divisor of positive
-    degree over K maps to a common divisor of the images of the same
-    degree (see `_reduce_mod_p`).  Hence a gcd of 1 over F_p proves a gcd
-    of 1 over K, and 1 is returned, exactly what the Euclidean algorithm
-    returns for coprime inputs.  In every other case (no prime of the
-    table splits, a denominator divisible by p, a leading coefficient
-    that vanishes mod p, or a nontrivial gcd mod p) the exact Euclidean
-    algorithm below runs unchanged, so the test never turns a nontrivial
-    gcd into 1.
+    first prime p of small_split_primes(d).  When both images mod p are
+    defined, a monic common divisor of positive degree over K maps to a
+    common divisor of the images of the same degree (see
+    `_reduce_mod_p`).  Hence a gcd of 1 over F_p proves a gcd of 1 over
+    K, and 1 is returned, exactly what the Euclidean algorithm returns
+    for coprime inputs.  In every other case (no prime of the table
+    splits, as for d = -1, a denominator divisible by p, a leading
+    coefficient that vanishes mod p, or a nontrivial gcd mod p) the exact
+    Euclidean algorithm below runs unchanged, so the test never turns a
+    nontrivial gcd into 1.
     """
     if a.d != b.d:
         raise ValueError("gcd of polynomials over different fields")

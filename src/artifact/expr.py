@@ -21,7 +21,7 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactalg import BiPoly, FieldSpec, QuadExt, RatFunc, UPoly
 
@@ -50,6 +50,8 @@ class _Token(NamedTuple):
 
 _NAMES = ("xi", "eta", "rt")
 _OPS = "+-*/^()"
+# ASCII only: str.isdigit() also accepts superscripts, which int() refuses.
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -68,9 +70,9 @@ def _tokenize(text: str) -> List[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > _MAX_DIGITS:
                 raise ExprSyntaxError(f"integer literal of {j - i} digits "
@@ -144,13 +146,18 @@ class _Parser:
 
     def parse_top(self) -> Union[BiPoly, RatFunc]:
         numerator = self.parse_sum()
-        if self.at_op("/"):
-            self.advance()
-            denominator = self.parse_sum()
+        if not self.at_op("/"):
             self.expect_end()
-            return self.to_ratfunc(numerator, denominator)
+            return numerator
+        split = self.pos
+        slash = self.advance()
+        denominator = self.parse_sum()
         self.expect_end()
-        return numerator
+        num = _eta_free(numerator, self.tokens[:split])
+        den = _eta_free(denominator, self.tokens[split:])
+        if den.is_zero():
+            raise ExprSyntaxError("zero denominator", slash.line, slash.column)
+        return RatFunc(num, den)
 
     def expect_end(self) -> None:
         tok = self.peek()
@@ -255,19 +262,14 @@ class _Parser:
             raise self.fail("unexpected end of input")
         raise self.fail(f"unexpected {tok.text!r}")
 
-    # -- conversions ---------------------------------------------------------
 
-    def to_ratfunc(self, num: BiPoly, den: BiPoly) -> RatFunc:
-        num_p = _eta_free(num)
-        den_p = _eta_free(den)
-        if den_p.is_zero():
-            raise ExprSyntaxError("zero denominator", 1, 1)
-        return RatFunc(num_p, den_p)
-
-
-def _eta_free(p: BiPoly) -> UPoly:
+def _eta_free(p: BiPoly, tokens: Sequence[_Token]) -> UPoly:
+    """p as a polynomial in xi; an error at the first 'eta' of the tokens
+    that p was parsed from when p has eta in it."""
     if p.degree_eta > 0:
-        raise ExprSyntaxError("'eta' is not allowed in this expression", 1, 1)
+        tok = next(t for t in tokens if t.text == "eta")
+        raise ExprSyntaxError("'eta' is not allowed in this expression",
+                              tok.line, tok.column)
     return p.row(0)
 
 
@@ -282,9 +284,10 @@ def parse_bipoly(text: str, field: FieldSpec) -> BiPoly:
     """Parse a polynomial in xi and eta (no top-level division)."""
     value = parse_expression(text, field)
     if isinstance(value, RatFunc):
-        raise ExprSyntaxError(
-            "'/' (other than a rational literal) is not allowed here", 1, 1
-        )
+        parser = _Parser(text, field)
+        parser.parse_sum()  # stops at the top-level '/'
+        raise parser.fail(
+            "'/' (other than a rational literal) is not allowed here")
     return value
 
 
@@ -293,7 +296,7 @@ def parse_ratfunc(text: str, field: FieldSpec) -> RatFunc:
     value = parse_expression(text, field)
     if isinstance(value, RatFunc):
         return value
-    return RatFunc.from_poly(_eta_free(value))
+    return RatFunc.from_poly(_eta_free(value, _tokenize(text)))
 
 
 # -- printing ---------------------------------------------------------------

@@ -25,6 +25,7 @@ irreducible factors, with one exponent per factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,8 +38,7 @@ from .exactalg import (
     UPoly,
     eval_mod,
     factor_irreducible,
-    partial_fractions,
-    poly_xgcd,
+    inverse_mod,
 )
 
 
@@ -297,42 +297,33 @@ def omega_decompose(
     """Split the antiderivative of kappa_1 into exponential and log data.
 
     classes is the irreducible factorization of kappa_1's denominator
-    (VariationalData.classes(1)).  Partial fractions give kappa_1 = poly
-    + sum n_{c,i}/p_c^i.  The polynomial part integrates into E.  Each
-    order-i >= 2 term is reduced by one order using n = u*p + v*p', since
-    int(v*p'/p^i) contributes the rational term -v/((i-1) p^{i-1});
-    iterating leaves only simple poles, whose class residues are
-    n_c/(p_c') in K[xi]/(p_c).
+    (VariationalData.classes(1)).  The polynomial part of kappa_1
+    integrates into E.  At a class p of multiplicity m, kappa_1 = A/p^m
+    plus terms regular at the roots of p, with A = kappa_1n *
+    (kappa_1d/p^m)^(-1) mod p^m.  While m >= 2, A = v*p' + u*p with v =
+    A*t mod p, t = p'^(-1) mod p; since int(v*p'/p^m) = -v/((m-1)
+    p^(m-1)) + int(v'/((m-1) p^(m-1))), the first term goes into E and A
+    becomes u + v'/(m-1) over p^(m-1).  The simple pole left has the
+    class residue A*t in K[xi]/(p); a zero residue gets no entry.
     """
-    d = kappa1.d
-    regular = kappa1.den.degree > kappa1.num.degree
-    pf = partial_fractions(kappa1, classes)
-    exp_part = RatFunc.from_poly(pf.poly_part.antiderivative())
-
-    # Group the term numerators per class: digits[order] = numerator.
-    by_class: dict = {}
-    for term in pf.terms:
-        by_class.setdefault(term.factor, {})[term.order] = term.numerator
+    num, den = kappa1.num, kappa1.den
+    exp_part = RatFunc.from_poly((num // den).antiderivative())
     residues: List[ResidueEntry] = []
-    zero = UPoly.zero(d)
     for cls in classes:
         p, m = cls.factor, cls.multiplicity
-        digits = by_class[p]
-        dp = p.derivative()
-        _, _, t = poly_xgcd(p, dp)  # t * p' = 1 mod p
-        current = digits.get(m, zero)
-        for i in range(m, 1, -1):
-            v = eval_mod(current * t, p)
-            u = (current - v * dp).exact_div(p)
-            inv = QuadExt(1, 0, d) / (i - 1)
-            exp_part = exp_part - RatFunc(v.scale(inv), p ** (i - 1))
-            current = u + v.derivative().scale(inv) + digits.get(i - 1, zero)
-        if not current.is_zero():
-            residue = eval_mod(current * t, p)
+        pm, dp = p**m, p.derivative()
+        A = num % pm * inverse_mod(den.exact_div(pm), pm) % pm
+        t = inverse_mod(dp, p)
+        for i in range(m - 1, 0, -1):
+            v, inv = A * t % p, Fraction(1, i)
+            exp_part = exp_part - RatFunc(v.scale(inv), p**i)
+            A = (A - v * dp).exact_div(p) + v.derivative().scale(inv)
+        residue = A * t % p
+        if not residue.is_zero():
             residues.append(ResidueEntry(cls=cls, residue=residue))
     return OmegaData(
         kappa1=kappa1,
         exp_part=exp_part,
         residues=tuple(residues),
-        regular_at_infinity=regular,
+        regular_at_infinity=den.degree > num.degree,
     )

@@ -28,6 +28,11 @@
   clause of a ``theorem_conditions`` report, and
   ``double_hopf_chart2_clauses`` is Theorem 1.5's clause list written out
   in the original parameters;
+* ``partial_fractions`` (with ``proper_parts``, ``PFTerm`` and
+  ``PartialFractions``) splits a rational function over its irreducible
+  classes by one inverse modulo p^m per class and p-adic digits, and
+  ``omega_by_partial_fractions`` reduces those terms to Omega's E and
+  residues: the reference for ``omega_decompose``;
 * the exact-algebra members that only tests call: ``ratfunc_eval_mod``
   and ``constant_eval_mod`` (evaluation in K[xi]/(p)), ``recombine`` (a
   ``PartialFractions`` summed back into one ``RatFunc``), ``multiplicity``,
@@ -35,6 +40,7 @@
   ``has_pole_at``, ``eval_point``, ``as_fraction`` and ``conjugate``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple, Union
@@ -43,13 +49,13 @@ from artifact.criteria import RootPartition, partition_roots
 from artifact.exactalg import (
     BiPoly,
     FactorClass,
-    PartialFractions,
     QuadExt,
     RatFunc,
     UPoly,
     eval_mod,
     factor_irreducible,
     inverse_mod,
+    poly_xgcd,
 )
 from artifact.exactalg.field import _fraction_sqrt
 from artifact.unfoldings import (
@@ -66,6 +72,7 @@ from artifact.varcalc import (
     CurveInSingularLocusError,
     OmegaData,
     PlanarSystem,
+    ResidueEntry,
     omega_decompose,
 )
 
@@ -529,12 +536,96 @@ def constant_eval_mod(f: RatFunc, p: UPoly) -> Optional[QuadExt]:
     return rep.coeff(0)
 
 
+def proper_parts(f: RatFunc) -> Tuple[UPoly, RatFunc]:
+    """f = poly + proper, with deg(proper num) < deg den."""
+    q, r = divmod(f.num, f.den)
+    return q, RatFunc(r, f.den)
+
+
+@dataclass(frozen=True)
+class PFTerm:
+    """One partial-fraction term numerator/factor^order, deg num < deg factor."""
+
+    factor: UPoly
+    order: int
+    numerator: UPoly
+
+
+@dataclass(frozen=True)
+class PartialFractions:
+    """f = poly_part + sum of terms num/(p^order), fully split over the field."""
+
+    poly_part: UPoly
+    terms: Tuple[PFTerm, ...]
+
+
+def partial_fractions(
+    f: RatFunc, classes: Sequence[FactorClass]
+) -> PartialFractions:
+    """Full partial-fraction decomposition over Q(sqrt d): each class
+    component is the numerator times the cofactor's inverse modulo p^m,
+    expanded into p-adic digits."""
+    poly_part, proper = proper_parts(f)
+    if proper.is_zero():
+        return PartialFractions(poly_part, ())
+    num, den = proper.num, proper.den
+    terms: List[PFTerm] = []
+    for cls in classes:
+        p, m = cls.factor, cls.multiplicity
+        pm = p**m
+        cofactor = den.exact_div(pm)
+        r = (num % pm) * inverse_mod(cofactor % pm, pm) % pm
+        for j in range(m):
+            r, digit = divmod(r, p)
+            if not digit.is_zero():
+                terms.append(PFTerm(p, m - j, digit))
+    terms.sort(key=lambda t: (t.factor.sort_key(), t.order))
+    return PartialFractions(poly_part, tuple(terms))
+
+
 def recombine(pf: PartialFractions) -> RatFunc:
     """poly_part plus every term numerator/factor^order, in RatFunc."""
     acc = RatFunc.from_poly(pf.poly_part)
     for term in pf.terms:
         acc = acc + RatFunc(term.numerator, term.factor**term.order)
     return acc
+
+
+def omega_by_partial_fractions(
+    kappa1: RatFunc, classes: Sequence[FactorClass]
+) -> OmegaData:
+    """Omega from the partial fractions of kappa_1: each order-i >= 2 term
+    is reduced by one order with n = u*p + v*p', since int(v*p'/p^i)
+    contributes -v/((i-1) p^(i-1)); the simple-pole numerator n_c left
+    gives the residue n_c/p_c' in K[xi]/(p_c)."""
+    d = kappa1.d
+    pf = partial_fractions(kappa1, classes)
+    exp_part = RatFunc.from_poly(pf.poly_part.antiderivative())
+    by_class: dict = {}
+    for term in pf.terms:
+        by_class.setdefault(term.factor, {})[term.order] = term.numerator
+    residues: List[ResidueEntry] = []
+    zero = UPoly.zero(d)
+    for cls in classes:
+        p, m = cls.factor, cls.multiplicity
+        digits = by_class[p]
+        dp = p.derivative()
+        _, _, t = poly_xgcd(p, dp)  # t * p' = 1 mod p
+        current = digits.get(m, zero)
+        for i in range(m, 1, -1):
+            v = eval_mod(current * t, p)
+            u = (current - v * dp).exact_div(p)
+            inv = QuadExt(1, 0, d) / (i - 1)
+            exp_part = exp_part - RatFunc(v.scale(inv), p ** (i - 1))
+            current = u + v.derivative().scale(inv) + digits.get(i - 1, zero)
+        if not current.is_zero():
+            residues.append(ResidueEntry(cls, eval_mod(current * t, p)))
+    return OmegaData(
+        kappa1=kappa1,
+        exp_part=exp_part,
+        residues=tuple(residues),
+        regular_at_infinity=kappa1.den.degree > kappa1.num.degree,
+    )
 
 
 def multiplicity(p: UPoly, f: UPoly) -> int:

@@ -15,6 +15,7 @@ from oracles import (
     multiplicity,
     omega,
     partition,
+    partial_fractions,
     pole_classes,
     ratfunc_eval,
     recombine,
@@ -32,7 +33,6 @@ from artifact.exactalg import (
     RatFunc,
     UPoly,
     factor_irreducible,
-    partial_fractions,
 )
 from artifact.unfoldings import (
     DoubleHopfParams,
@@ -391,7 +391,7 @@ def test_gate_8_property_and_numerical_oracles():
         k1 = vd.kappa(1)
         for k in (3, 5):
             part = partition(k1, vd.kappa(k))
-            prof = simplicity_profile(k1, part, k)
+            prof = simplicity_profile(omega(k1), part, k)
             for idx, cls in enumerate(prof.classes):
                 for b in range(1, 6):
                     multipliers = [1] * len(part.shared)

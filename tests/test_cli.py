@@ -533,6 +533,9 @@ def _inline_p(tmp_path, term):
         (lambda tmp: _inline_p(tmp, "9" * 5000 + "*xi"), None, EXIT_USAGE,
          "error: [system] P: line 1, column 9: integer literal of 5000 "
          "digits exceeds the limit 1000\n"),
+        (lambda tmp: _inline_p(tmp, "\u00b2*xi - 1"), None, EXIT_USAGE,
+         "error: [system] P: line 1, column 9: unexpected character "
+         "'\u00b2'\n"),
         (_non_utf8_config, None, EXIT_USAGE,
          "error: cannot parse config file {tmp}/latin1.ini: "),
         (lambda tmp: FOLD_HOPF_ARGV + ["--json", f"{tmp}/no/such.json"],
@@ -547,7 +550,7 @@ def _inline_p(tmp_path, term):
         (lambda tmp: ["sweep", write(tmp, "s.ini", SWEEP_INI)],
          ZeroDivisionError("boom"), EXIT_INTERNAL, None),
     ],
-    ids=["nested-parentheses", "long-literal",
+    ids=["nested-parentheses", "long-literal", "superscript-digit",
          "non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
          "unexpected-exception", "sweep-unexpected-exception"],
 )

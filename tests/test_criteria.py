@@ -120,7 +120,7 @@ def test_simplicity_closed_form_example(F2, rt2):
     k1 = fold_hopf_kappa(FoldHopfParams(F2, -1, nu, alpha), 1)
     kk = fold_hopf_kappa(FoldHopfParams(F2, -1, nu, alpha), 3)
     part = partition(k1, kk)
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     by_class = {tuple(c.factor.coeffs): c.bad_b for c in prof.classes}
     assert by_class[tuple(xp(-1, 1).coeffs)] == alpha + nu  # at xi = 1
     assert by_class[tuple(xp(1, 1).coeffs)] == alpha - nu  # at xi = -1
@@ -131,7 +131,7 @@ def test_simplicity_profile_flags(F2, rt2):
     params = FoldHopfParams(F2, -1, rt2 - F2(1), rt2)
     k1 = fold_hopf_kappa(params, 1)
     part = partition(k1, fold_hopf_kappa(params, 3))
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     flags = {tuple(c.factor.coeffs): c for c in prof.classes}
     c_plus = flags[tuple(xp(1, 1).coeffs)]  # xi = -1
     assert c_plus.bad_b == F2(1)
@@ -158,7 +158,7 @@ def test_simplicity_vs_auxiliary_polynomial_oracle(F2, rt2):
         k1 = gen(params, 1)
         for k in (3, 5):
             part = partition(k1, gen(params, k))
-            prof = simplicity_profile(k1, part, k)
+            prof = simplicity_profile(omega(k1), part, k)
             for idx, cls in enumerate(prof.classes):
                 for b in range(1, 6):
                     multipliers = [1] * len(part.shared)
@@ -443,7 +443,7 @@ def scan_family(params, k, gen1=fold_hopf_kappa):
     k1 = gen1(params, 1)
     kk = gen1(params, k)
     part = partition(k1, kk)
-    prof = simplicity_profile(k1, part, k)
+    prof = simplicity_profile(omega(k1), part, k)
     return criterion_scan(k, k1, kk, part, prof)
 
 
@@ -485,7 +485,7 @@ def test_criterion_vi_synthetic_irregular(F2):
     k1 = RatFunc(xp(Fraction(1, 2), 0, 0, 0, 1), xp(-1, 0, 1))
     kk = RatFunc(xp(3, 0, 0, 0, 0, 1), xp(-1, 0, 1) ** 2)
     part = partition(k1, kk)
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     out = criterion_scan(3, k1, kk, part, prof)
     assert out.fired == "vi"
     diag = out.diagnostics
@@ -506,7 +506,7 @@ def test_scan_precondition_failures(F2, rt2):
     bad_kk = rf("(xi - 1)/(xi + 1)^3", F2)
     part = partition(k1, bad_kk)
     assert any(c.a1 < 0 for c in part.shared)
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     out = criterion_scan(3, k1, bad_kk, part, prof)
     assert out.fired is None
     assert any("shared root" in f for f in out.precondition_failures)
@@ -519,7 +519,7 @@ def test_scan_extra_hypothesis_violation_recorded(F2, rt2):
     k1 = fold_hopf_kappa(params, 1)
     kk = fold_hopf_kappa(params, 3)
     part = partition(k1, kk)
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     assert not prof.all_simple_whenever_bj_gt_1
     out = criterion_scan(3, k1, kk, part, prof)
     assert out.fired is None
@@ -533,7 +533,7 @@ def test_h2_failure_witness_double_hopf_alpha_one(F2, rt2):
     k1 = double_hopf_kappa(params, 1)
     kk = double_hopf_kappa(params, 3)
     part = partition(k1, kk)
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     out = criterion_scan(3, k1, kk, part, prof)
     witness = out.h2_failure
     assert witness is not None
@@ -787,7 +787,7 @@ def test_scan_vanishing_rho_is_the_b1_resonance(F2):
     part = partition(k1, kk)
     assert len(part.shared) == 1 and part.shared[0].a1 == 2
     assert build_rho(k1, part, 3).is_zero()
-    prof = simplicity_profile(k1, part, 3)
+    prof = simplicity_profile(omega(k1), part, 3)
     assert prof.classes[0].bad_b == F2(1)
     out = criterion_scan(3, k1, kk, part, prof)
     assert out.fired == "ii"
@@ -806,7 +806,7 @@ def test_polynomial_solution_with_zero_rho(F2):
 def test_scan_zero_kappa1_precondition(F2):
     kk = rf("1/(xi - 1)", F2)
     part = partition(RatFunc.zero(2), kk)
-    prof = simplicity_profile(RatFunc.zero(2), part, 2)
+    prof = simplicity_profile(omega(RatFunc.zero(2)), part, 2)
     out = criterion_scan(2, RatFunc.zero(2), kk, part, prof)
     assert out.fired is None
     assert any("kappa_1" in f for f in out.precondition_failures)

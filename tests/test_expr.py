@@ -75,6 +75,30 @@ def test_parse_errors_carry_position(F2, F1):
         parse_bipoly("", F2)
 
 
+def test_shape_errors_name_the_offending_token(F2):
+    cases = [
+        (parse_ratfunc, "xi + 2*eta", 1, 8, "'eta' is not allowed"),
+        (parse_ratfunc, "(xi - 1)/(xi +\n 3*eta)", 2, 4, "'eta' is not"),
+        (parse_ratfunc, "eta - eta + xi/(1 + eta)", 1, 21, "'eta' is not"),
+        (parse_ratfunc, "(xi + 1)/(xi - xi)", 1, 9, "zero denominator"),
+        (parse_bipoly, "xi/(xi + 1)", 1, 3, "'/' (other than a rational"),
+        (parse_bipoly, "1/2*xi + xi^2/3", 1, 14, "'/' (other than a"),
+    ]
+    for parse, text, line, column, message in cases:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text, F2)
+        assert (info.value.line, info.value.column) == (line, column), text
+        assert message in str(info.value)
+
+
+def test_digits_are_ascii_only(F2):
+    for text, column in (("eta^2 + \u00b2*xi - 1", 9), ("xi^\u0663", 4)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_bipoly(text, F2)
+        assert info.value.column == column
+        assert "unexpected character" in str(info.value)
+
+
 def test_parse_caps_nesting_and_literal_digits(F2):
     assert parse_bipoly("(" * 100 + "xi" + ")" * 100, F2) == BiPoly.var_xi(2)
     with pytest.raises(ExprSyntaxError) as info:

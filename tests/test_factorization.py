@@ -13,7 +13,6 @@ from artifact.exactalg import (
     eval_mod,
     factor_irreducible,
     inverse_mod,
-    partial_fractions,
     poly_gcd,
 )
 from artifact.exactalg.factorization import _split_with_sympy
@@ -26,7 +25,13 @@ from artifact.exactalg.upoly import (
 from artifact.expr import parse_ratfunc
 
 from conftest import rand_ratfunc, rand_upoly
-from oracles import constant_eval_mod, monomial, pole_classes, recombine
+from oracles import (
+    constant_eval_mod,
+    monomial,
+    partial_fractions,
+    pole_classes,
+    recombine,
+)
 
 
 def xp(*coeffs, d=2):

@@ -12,7 +12,6 @@ from artifact.exactalg import (
     RatFunc,
     UPoly,
     factor_irreducible,
-    partial_fractions,
     poly_gcd,
     squarefree_decompose,
 )
@@ -25,7 +24,14 @@ from artifact.expr import (
     parse_ratfunc,
 )
 
-from oracles import conjugate, omega, partition, pole_classes, recombine
+from oracles import (
+    conjugate,
+    omega,
+    partial_fractions,
+    partition,
+    pole_classes,
+    recombine,
+)
 
 F2 = FieldSpec(2)
 

@@ -17,7 +17,7 @@ from artifact.exactalg import (
     strip_power_of_x,
 )
 from artifact.exactalg import field, upoly
-from artifact.exactalg.upoly import FILTER_PRIMES, split_prime
+from artifact.exactalg.upoly import small_split_primes
 
 from conftest import rand_scalar, rand_upoly
 from oracles import (
@@ -299,22 +299,31 @@ def _is_prime(n):
     return True
 
 
+def _filter_prime(d):
+    """The prime of the gcd filter and its square root of d."""
+    return small_split_primes(d)[0]
+
+
 def test_filter_prime_table():
-    assert len(set(FILTER_PRIMES)) == len(FILTER_PRIMES) > 1
-    for p in FILTER_PRIMES:
-        assert p < 2**61 and p % 4 == 3 and _is_prime(p)
+    for d in (1, 2, 5, -3):
+        table = [p for p, _ in small_split_primes(d)]
+        assert len(set(table)) == len(table) > 1
+        for p in table:
+            assert 2**14 < p < 2**14 + 2**11 and p % 4 == 3 and _is_prime(p)
     assert not _is_prime(2**61 - 3) and _is_prime(2**31 - 1)
 
 
 def test_split_prime_gives_a_square_root_of_d():
+    candidates = [p for p in range(2**14 + 3, 2**14 + 2**11, 4)
+                  if _is_prime(p)]
     for d in (1, 2, 3, 5, -2, -7, 13, 10**12 - 11):
-        p, s = split_prime(d)
-        assert p in FILTER_PRIMES and s * s % p == d % p
+        p, s = _filter_prime(d)
+        assert p in candidates and s * s % p == d % p
         # the first prime of the table in which d is a square
         assert all(pow(d % q, (q - 1) // 2, q) != 1
-                   for q in FILTER_PRIMES[:FILTER_PRIMES.index(p)])
+                   for q in candidates[:candidates.index(p)])
     # -1 is a non-square modulo every p = 3 (mod 4): Euclid always runs
-    assert split_prime(-1) is None
+    assert small_split_primes(-1) == ()
 
 
 def test_gcd_matches_euclid_seeded():
@@ -340,7 +349,7 @@ def test_gcd_matches_euclid_seeded():
 
 
 def test_gcd_falls_back_on_a_denominator_divisible_by_p():
-    p, _ = split_prime(2)
+    p, _ = _filter_prime(2)
     lin = xp(Fraction(1, p), 1)  # xi + 1/p
     for a, b, g in ((lin, xp(1, 0, 1), UPoly.one(2)),
                     (lin * xp(1, 1), lin * xp(2, 1), lin)):
@@ -349,7 +358,7 @@ def test_gcd_falls_back_on_a_denominator_divisible_by_p():
 
 
 def test_gcd_falls_back_on_a_leading_coefficient_divisible_by_p():
-    p, _ = split_prime(2)
+    p, _ = _filter_prime(2)
     # mod p both drop to degree 1 and look coprime: (xi + 1) and (xi + 2);
     # the true gcd xi + 1/p is not p-integral
     a = xp(1, p) * xp(1, 1)

@@ -7,10 +7,12 @@ import pytest
 
 from artifact.exactalg import (
     BiPoly,
+    FactorClass,
     FieldSpec,
     RatFunc,
     UPoly,
     eval_mod,
+    inverse_mod,
 )
 from artifact.expr import parse_bipoly, parse_ratfunc
 from artifact.unfoldings import (
@@ -24,6 +26,7 @@ from artifact.varcalc import (
     CurveInSingularLocusError,
     PlanarSystem,
     kappa_coefficients,
+    omega_decompose,
 )
 
 from conftest import rand_scalar, rand_upoly
@@ -35,6 +38,7 @@ from oracles import (
     kappa_by_differentiation,
     kappa_by_recurrence,
     omega,
+    omega_by_partial_fractions,
     pole_classes,
 )
 
@@ -170,6 +174,49 @@ def test_omega_reconstruct_identity_random(F2):
         assert om.reconstruct() == f
         checked += 1
     assert checked == 40
+
+
+def _rand_class_factor(rng, F):
+    """xi - c, or a monic quadratic irreducible over F."""
+    if rng.random() < 0.5:
+        return UPoly([-rand_scalar(rng, F), 1], F.d)
+    while True:
+        b, c = rand_scalar(rng, F, span=3), rand_scalar(rng, F, span=3)
+        if (b * b - 4 * c).sqrt() is None:
+            return UPoly([c, b, 1], F.d)
+
+
+def test_omega_decompose_matches_the_partial_fraction_oracle():
+    """E and every residue equal the partial-fraction route's, over five
+    fields, for linear and quadratic classes of multiplicity 1-3."""
+    rng = random.Random(109)
+    seen = set()
+    for d in (1, 2, 5, -1, -3):
+        F = FieldSpec(d)
+        for _ in range(12):
+            factors = {_rand_class_factor(rng, F)
+                       for _ in range(rng.randint(1, 2))}
+            classes = sorted(
+                (FactorClass(p, rng.randint(1, 3)) for p in factors),
+                key=lambda c: c.factor.sort_key())
+            den = UPoly.one(d)
+            for c in classes:
+                den = den * c.factor**c.multiplicity
+            num = rand_upoly(rng, F, int(den.degree) + 1, nonzero=True)
+            f = RatFunc(num, den)
+            if f.den != den:  # a class cancelled: not its pole set
+                continue
+            om = omega_decompose(f, classes)
+            assert om == omega_by_partial_fractions(f, classes)
+            assert om.reconstruct() == f
+            dden = f.den.derivative()
+            for entry in om.residues:
+                p = entry.cls.factor
+                seen.add((int(p.degree), entry.cls.multiplicity))
+                if entry.cls.multiplicity == 1:
+                    assert entry.residue == eval_mod(
+                        f.num * inverse_mod(dden, p), p)
+    assert seen == {(g, m) for g in (1, 2) for m in (1, 2, 3)}
 
 
 def test_omega_nonconstant_class_residue(F2):
