@@ -14,7 +14,10 @@ parameters (its dataclass fields after ``field``, in declaration order)
 are its ``[system]`` keys, its subcommand flags, its sweep axes and the
 keys of the ``params`` echo; a parameter without a default is required,
 ``s`` is a sign and every other parameter a scalar.  ``chart`` is a key
-and a flag only for a family with more than one chart.
+and a flag only for a family with more than one chart.  A family
+subcommand turns its flags into the text mapping a ``[system]`` section
+holds, so flags and configs are parsed, defaulted and validated by one
+function; its messages name the ``--flag`` or the ``[system] key``.
 
 Exit codes: 0 = nonintegrability proven, 1 = inconclusive, 3 = the
 method does not apply (irregular at infinity), 4 = input/usage error,
@@ -42,7 +45,7 @@ import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .criteria import (
@@ -60,7 +63,6 @@ from .expr import (
     format_ratfunc,
     format_scalar,
     parse_bipoly,
-    parse_expression,
     parse_ratfunc,
 )
 from .unfoldings import FAMILIES, DoubleHopfParams, Family, FoldHopfParams
@@ -99,14 +101,10 @@ class InternalError(Exception):
 
 
 def _parse_scalar(text: str, field: FieldSpec, what: str) -> QuadExt:
-    value = _parse(parse_expression, text, field, what)
-    if isinstance(value, RatFunc):
-        if not value.is_constant():
-            raise UsageError(f"{what}: expected a constant, got {value}")
-        return value.num.coeff(0) / value.den.coeff(0)
-    if value.degree_eta > 0 or value.degree_xi > 0:
+    value = _parse(parse_ratfunc, text, field, what)
+    if not value.is_constant():
         raise UsageError(f"{what}: expected a constant, got {value}")
-    return value.row(0).coeff(0)
+    return value.num.coeff(0) / value.den.coeff(0)
 
 
 def _parse(parse, text: str, field: FieldSpec, what: str):
@@ -140,15 +138,30 @@ def _validate_max_order(k: int) -> int:
     return k
 
 
-def _default_max_order() -> int:
-    env = os.environ.get(ENV_MAX_ORDER)
-    if env is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        k = int(env)
-    except ValueError:
-        raise UsageError(f"{ENV_MAX_ORDER} must be an integer, got {env!r}")
-    return _validate_max_order(k)
+def _max_order(flag: Optional[int], configured: Optional[str] = None) -> int:
+    """The --max-order flag, else the config's [check] max_order, else
+    NONINT_MAX_ORDER, else the default."""
+    if flag is not None:
+        return _validate_max_order(flag)
+    for name, text in (("[check] max_order", configured),
+                       (ENV_MAX_ORDER, os.environ.get(ENV_MAX_ORDER))):
+        if text is not None:
+            try:
+                k = int(text)
+            except ValueError:
+                raise UsageError(
+                    f"{name} must be an integer, got {text!r}") from None
+            return _validate_max_order(k)
+    return DEFAULT_MAX_ORDER
+
+
+def _refuse_unknown(
+    section: str, keys: Iterable[str], allowed: Iterable[str]
+) -> None:
+    extra = set(keys) - set(allowed)
+    if extra:
+        raise UsageError(
+            f"unknown keys in [{section}]: {', '.join(sorted(extra))}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,50 +571,27 @@ def _read_config(
         raise UsageError(
             f"unknown config sections: {', '.join(sorted(unknown))}"
         )
-    field = _field_from_config(parser)
-    max_order = _max_order_from_config(parser, max_order_flag)
+    for section, allowed in (("field", {"d"}), ("check", {"max_order"})):
+        if parser.has_section(section):
+            _refuse_unknown(section, parser.options(section), allowed)
+    field = _field(parser.get("field", "d", fallback="1"), "[field] ")
+    max_order = _max_order(
+        max_order_flag, parser.get("check", "max_order", fallback=None))
     if not parser.has_section("system"):
         raise UsageError("config needs a [system] section")
     return parser, field, max_order, dict(parser.items("system"))
 
 
-def _field_from_config(parser: configparser.ConfigParser) -> FieldSpec:
-    d = 1
-    if parser.has_section("field"):
-        extra = set(parser.options("field")) - {"d"}
-        if extra:
-            raise UsageError(
-                f"unknown keys in [field]: {', '.join(sorted(extra))}"
-            )
-        if parser.has_option("field", "d"):
-            try:
-                d = int(parser.get("field", "d"))
-            except ValueError:
-                raise UsageError("[field] d must be an integer")
+def _field(text: str, label: str) -> FieldSpec:
+    """The field of the text of d; label is "[field] " or "--"."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise UsageError(f"{label}d must be an integer") from None
     try:
         return FieldSpec(d)
     except ValueError as exc:
-        raise UsageError(f"[field] {exc}") from exc
-
-
-def _max_order_from_config(
-    parser: configparser.ConfigParser, flag: Optional[int]
-) -> int:
-    if parser.has_section("check"):
-        extra = set(parser.options("check")) - {"max_order"}
-        if extra:
-            raise UsageError(
-                f"unknown keys in [check]: {', '.join(sorted(extra))}"
-            )
-    if flag is not None:
-        return _validate_max_order(flag)
-    if parser.has_option("check", "max_order"):
-        try:
-            k = int(parser.get("check", "max_order"))
-        except ValueError:
-            raise UsageError("[check] max_order must be an integer")
-        return _validate_max_order(k)
-    return _default_max_order()
+        raise UsageError(f"{label}d: {exc}") from exc
 
 
 def _builtin_spec(
@@ -609,9 +599,11 @@ def _builtin_spec(
     field: FieldSpec,
     max_order: int,
     swept: Optional[Dict[str, object]] = None,
+    label: str = "[system] ",
 ) -> SystemSpec:
-    """The builtin-family request of a [system] section.  swept gives a
-    value to each parameter a sweep varies, which [system] may omit."""
+    """The builtin-family request of a [system] section, or of a family
+    subcommand's flags with label "--".  swept gives a value to each
+    parameter a sweep varies, which [system] may omit."""
     name = options["family"].strip()
     family = _family(name)
     allowed = {"family"} | {f.name for f in family.parameters}
@@ -625,20 +617,16 @@ def _builtin_spec(
                 chart = None
             if chart not in family.charts:
                 shown = " or ".join(str(c) for c in family.charts)
-                raise UsageError(f"[system] chart must be {shown}")
+                raise UsageError(f"{label}chart must be {shown}")
     values = dict(swept or {})
     for f in family.parameters:
         if f.name in options:
             values[f.name] = _parse_param(
-                f.name, options[f.name], field, f"[system] {f.name}"
+                f.name, options[f.name], field, f"{label}{f.name}"
             )
         elif f.name not in values and f.default is MISSING:
             raise UsageError(f"[system] missing parameter: {f.name}")
-    extra = set(options) - allowed
-    if extra:
-        raise UsageError(
-            f"unknown keys in [system]: {', '.join(sorted(extra))}"
-        )
+    _refuse_unknown("system", options, allowed)
     return SystemSpec(
         field=field,
         max_order=max_order,
@@ -653,11 +641,7 @@ def load_config(path: str, max_order_flag: Optional[int] = None) -> SystemSpec:
     _, field, max_order, options = _read_config(path, max_order_flag)
     if "family" in options:
         return _builtin_spec(options, field, max_order)
-    extra = set(options) - _INLINE_KEYS
-    if extra:
-        raise UsageError(
-            f"unknown keys in [system]: {', '.join(sorted(extra))}"
-        )
+    _refuse_unknown("system", options, _INLINE_KEYS)
     if "p" not in options or "q" not in options:
         raise UsageError("an inline [system] needs both P and Q")
     phi = None
@@ -813,16 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, family in FAMILIES.items():
         sp = sub.add_parser(name, help=f"certify a {name} unfolding")
         for f in family.parameters:
-            sign = {"type": int, "choices": (1, -1)} if f.name == "s" else {}
-            if f.default is MISSING:
-                sp.add_argument(f"--{f.name}", required=True, **sign)
-            else:
-                sp.add_argument(f"--{f.name}", default=f.default, **sign)
+            sp.add_argument(f"--{f.name}", required=f.default is MISSING)
         if len(family.charts) > 1:
-            sp.add_argument(
-                "--chart", type=int, choices=family.charts, default=1
-            )
-        sp.add_argument("--d", type=int, default=1, help="field discriminant")
+            sp.add_argument("--chart")
+        sp.add_argument("--d", default="1", help="field discriminant")
         _add_common_flags(sp)
         sp.set_defaults(handler=_cmd_family)
 
@@ -833,38 +811,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    spec = load_config(args.file, max_order_flag=args.max_order)
+def _report(spec: SystemSpec, json_path: Optional[str]) -> int:
     report = run_check(spec)
-    _emit(args.json_path, report.to_json, lambda: render_text(report))
+    _emit(json_path, report.to_json, lambda: render_text(report))
     return report.exit_code
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    return _report(load_config(args.file, max_order_flag=args.max_order),
+                   args.json_path)
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    family = FAMILIES[args.command]
-    try:
-        field = FieldSpec(args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    values = {}
-    for f in family.parameters:
-        value = getattr(args, f.name)
-        if f.name != "s" and value is not None:
-            value = _parse_scalar(value, field, f"--{f.name}")
-        values[f.name] = value
-    params = family.params(field, **values)
-    spec = SystemSpec(
-        field=field,
-        max_order=(
-            _default_max_order() if args.max_order is None else args.max_order
-        ),
-        family=args.command,
-        chart=getattr(args, "chart", 1),
-        params=params,
-    )
-    report = run_check(spec)
-    _emit(args.json_path, report.to_json, lambda: render_text(report))
-    return report.exit_code
+    """The family's flags, as the [system] text they stand for."""
+    keys = [f.name for f in FAMILIES[args.command].parameters] + ["chart"]
+    flags = vars(args)
+    options = {key: flags[key] for key in keys if flags.get(key) is not None}
+    options["family"] = args.command
+    field = _field(args.d, "--")
+    max_order = _max_order(args.max_order)
+    return _report(_builtin_spec(options, field, max_order, label="--"),
+                   args.json_path)
 
 
 def _sweep_exit_code(rows: Sequence[SweepRow]) -> int:

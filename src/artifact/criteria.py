@@ -29,7 +29,7 @@ from .exactalg import (
     RatFunc,
     UPoly,
     coprime,
-    squarefree_part,
+    poly_gcd,
 )
 from .varcalc import (
     CurveData,
@@ -48,10 +48,6 @@ DEFAULT_MAX_ORDER = 9
 STATUS_NONINTEGRABLE = "nonintegrable"
 STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_INAPPLICABLE = "inapplicable"
-
-class SkipOrder(ValueError):
-    """kappa_k vanishes identically; order k carries no information."""
-
 
 # ---------------------------------------------------------------------------
 # Root partition
@@ -93,7 +89,8 @@ def partition_roots(
     classes1: Sequence[FactorClass],
     classesk: Sequence[FactorClass],
 ) -> RootPartition:
-    """Partition the kappa_k denominator against the kappa_1 denominator.
+    """Partition the kappa_k denominator against the kappa_1 denominator
+    (kappa_k nonzero; certify skips an order where it vanishes).
 
     Classes whose multiplicity does not change are absorbed and omitted.
     Root counts n1, nk count distinct roots, i.e. sum the class degrees.
@@ -101,8 +98,6 @@ def partition_roots(
     denominators (VariationalData.classes); the partition is checked to
     reconstruct the kappa_k denominator from the kappa_1 denominator.
     """
-    if kappak.is_zero():
-        raise SkipOrder("kappa_k vanishes identically; skip this order")
     d = kappa1.d
     k1d, kkd = kappa1.den, kappak.den
     mult1: Dict[UPoly, int] = {c.factor: c.multiplicity for c in classes1}
@@ -263,14 +258,15 @@ def divide_by_rho(
     kappakn: UPoly, rho: UPoly
 ) -> Tuple[UPoly, UPoly, int]:
     """kappa_kn = rho_bar * rho + rho_tilde with deg rho_tilde < deg rho;
-    n_bar counts the distinct roots of rho_bar (0 for a constant)."""
+    n_bar counts the distinct roots of rho_bar (0 for a constant): in
+    characteristic 0 that is deg rho_bar - deg gcd(rho_bar, rho_bar')."""
     if rho.is_zero():
         raise ValueError("rho vanishes identically (degenerate order)")
     rho_bar, rho_tilde = divmod(kappakn, rho)
-    if rho_bar.is_constant():
-        n_bar = 0
-    else:
-        n_bar = int(squarefree_part(rho_bar).degree)
+    n_bar = 0
+    if not rho_bar.is_constant():
+        gcd = poly_gcd(rho_bar, rho_bar.derivative())
+        n_bar = int(rho_bar.degree - gcd.degree)
     return rho_bar, rho_tilde, n_bar
 
 
@@ -474,15 +470,6 @@ class CriterionOutcome:
     skipped: bool = False
     partition: Optional[RootPartition] = None
     simplicity: Optional[SimplicityProfile] = None
-
-
-def _skipped_outcome(k: int) -> CriterionOutcome:
-    return CriterionOutcome(
-        k=k,
-        fired=None,
-        precondition_failures=("kappa_k vanishes identically",),
-        skipped=True,
-    )
 
 
 def criterion_scan(
@@ -720,14 +707,13 @@ def certify(
     fired_criterion: Optional[str] = None
     for k in range(2, K + 1):
         kappak = vd.kappa(k)
-        try:
-            part = partition_roots(
-                kappa1, kappak, vd.classes(1), vd.classes(k)
-            )
-        except SkipOrder:
-            outcomes.append(_skipped_outcome(k))
+        if kappak.is_zero():
+            outcomes.append(CriterionOutcome(
+                k=k, fired=None, skipped=True,
+                precondition_failures=("kappa_k vanishes identically",)))
             trace.append(f"k={k}: kappa_k = 0, skipped")
             continue
+        part = partition_roots(kappa1, kappak, vd.classes(1), vd.classes(k))
         prof = simplicity_profile(om, part, k)
         outcome = criterion_scan(k, kappa1, kappak, part, prof)
         outcomes.append(outcome)

@@ -20,9 +20,7 @@ from .upoly import (
     UPoly,
     inverse_mod,
     poly_gcd,
-    poly_xgcd,
     squarefree_decompose,
-    squarefree_part,
     strip_power_of_x,
 )
 
@@ -40,8 +38,6 @@ __all__ = [
     "inverse_mod",
     "is_rational_square",
     "poly_gcd",
-    "poly_xgcd",
     "squarefree_decompose",
-    "squarefree_part",
     "strip_power_of_x",
 ]

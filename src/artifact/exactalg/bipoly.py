@@ -75,12 +75,6 @@ class BiPoly:
     def degree_eta(self) -> Degree:
         return len(self.rows) - 1 if self.rows else NEG_INF
 
-    @property
-    def degree_xi(self) -> Degree:
-        return max(
-            (r.degree for r in self.rows if not r.is_zero()), default=NEG_INF
-        )
-
     def row(self, j: int) -> UPoly:
         if 0 <= j < len(self.rows):
             return self.rows[j]

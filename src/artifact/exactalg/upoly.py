@@ -3,12 +3,13 @@
 Coefficients are stored ascending by degree with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -inf.  All
 classical operations are exact: ring arithmetic, Euclidean division,
-monic gcd / extended gcd, derivatives, and Yun's squarefree
-decomposition.  Every polynomial carries the field discriminant d so that
-even the zero polynomial knows its coefficient field.  Coefficients are
-canonical QuadExt values; a product is an integer convolution over one
-denominator per operand, and each result coefficient is built once by
-`field._make`, so it is the same canonical triple as the QuadExt route.
+monic gcd, inverses modulo a polynomial, derivatives, and Yun's
+squarefree decomposition.  Every polynomial carries the field
+discriminant d so that even the zero polynomial knows its coefficient
+field.  Coefficients are canonical QuadExt values; a product is an
+integer convolution over one denominator per operand, and each result
+coefficient is built once by `field._make`, so it is the same canonical
+triple as the QuadExt route.
 
 `poly_gcd` first runs a one-sided modular test: it reduces both inputs
 modulo the first prime p of `small_split_primes` (p = 3 mod 4, just
@@ -474,29 +475,21 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic()
 
 
-def poly_xgcd(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
-    """Extended gcd: returns monic g and u, v with u*a + v*b = g."""
-    d = a.d
-    r0, r1 = a, b
-    s0, s1 = UPoly.one(d), UPoly.zero(d)
-    t0, t1 = UPoly.zero(d), UPoly.one(d)
+def inverse_mod(f: UPoly, p: UPoly) -> UPoly:
+    """The inverse of f modulo p; raises ValueError if gcd(f, p) != 1.
+
+    Euclid on (f % p, p) carries only f's cofactor s, with s*f = r mod p.
+    The last nonzero r is the gcd up to a unit, so f is invertible when r
+    is a constant c; then s/c, of degree < deg p, is the inverse."""
+    r0, r1 = f % p, p
+    s0, s1 = UPoly.one(p.d), UPoly.zero(p.d)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = r0.lc().inverse()
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
-def inverse_mod(f: UPoly, p: UPoly) -> UPoly:
-    """The inverse of f modulo p; raises if gcd(f, p) != 1."""
-    g, u, _ = poly_xgcd(f % p, p)
-    if not g.is_one():
+    if r0.degree != 0:
         raise ValueError("element is not invertible modulo p")
-    return u % p
+    return s0.scale(r0.coeffs[0].inverse())
 
 
 def squarefree_decompose(f: UPoly) -> List[Tuple[UPoly, int]]:
@@ -525,14 +518,6 @@ def squarefree_decompose(f: UPoly) -> List[Tuple[UPoly, int]]:
         w = w - c.derivative()
         m += 1
     return parts
-
-
-def squarefree_part(f: UPoly) -> UPoly:
-    """The monic radical: the product of the distinct irreducible factors."""
-    result = UPoly.one(f.d)
-    for part, _ in squarefree_decompose(f):
-        result = result * part
-    return result
 
 
 def strip_power_of_x(f: UPoly) -> Tuple[int, UPoly]:

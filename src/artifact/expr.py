@@ -13,9 +13,10 @@ Grammar (whitespace-insensitive)::
               | "(" sum ")"
 
 A top-level "/" makes the expression a rational function; everywhere
-else "/" is legal only inside a rational literal.  Printing emits text
-this grammar accepts, and parsing printed output reproduces the value
-exactly.
+else "/" is legal only inside a rational literal.  Each entry point
+builds one parser, in `parse_expression`; an error names the line and
+column of the token at fault.  Printing emits text this grammar
+accepts, and parsing printed output reproduces the value exactly.
 """
 
 from __future__ import annotations
@@ -144,11 +145,14 @@ class _Parser:
 
     # -- grammar -------------------------------------------------------------
 
-    def parse_top(self) -> Union[BiPoly, RatFunc]:
+    def parse_top(self, slash_ok: bool) -> Union[BiPoly, RatFunc]:
         numerator = self.parse_sum()
         if not self.at_op("/"):
             self.expect_end()
             return numerator
+        if not slash_ok:
+            raise self.fail(
+                "'/' (other than a rational literal) is not allowed here")
         split = self.pos
         slash = self.advance()
         denominator = self.parse_sum()
@@ -274,21 +278,16 @@ def _eta_free(p: BiPoly, tokens: Sequence[_Token]) -> UPoly:
 
 
 def parse_expression(
-    text: str, field: FieldSpec
+    text: str, field: FieldSpec, slash_ok: bool = True
 ) -> Union[BiPoly, RatFunc]:
-    """Parse to a BiPoly, or to a RatFunc when a top-level '/' is present."""
-    return _Parser(text, field).parse_top()
+    """Parse to a BiPoly, or to a RatFunc when a top-level '/' is present;
+    with slash_ok false, a top-level '/' is an error at that token."""
+    return _Parser(text, field).parse_top(slash_ok)
 
 
 def parse_bipoly(text: str, field: FieldSpec) -> BiPoly:
     """Parse a polynomial in xi and eta (no top-level division)."""
-    value = parse_expression(text, field)
-    if isinstance(value, RatFunc):
-        parser = _Parser(text, field)
-        parser.parse_sum()  # stops at the top-level '/'
-        raise parser.fail(
-            "'/' (other than a rational literal) is not allowed here")
-    return value
+    return parse_expression(text, field, slash_ok=False)
 
 
 def parse_ratfunc(text: str, field: FieldSpec) -> RatFunc:

@@ -33,6 +33,11 @@
   classes by one inverse modulo p^m per class and p-adic digits, and
   ``omega_by_partial_fractions`` reduces those terms to Omega's E and
   residues: the reference for ``omega_decompose``;
+* ``poly_xgcd`` is the extended Euclidean algorithm with both
+  cofactors, the reference for ``inverse_mod``; ``squarefree_part``
+  multiplies out Yun's decomposition, the reference for the distinct-root
+  count ``n_bar`` of ``divide_by_rho``; ``degree_xi`` is the degree of a
+  ``BiPoly`` in xi;
 * the exact-algebra members that only tests call: ``ratfunc_eval_mod``
   and ``constant_eval_mod`` (evaluation in K[xi]/(p)), ``recombine`` (a
   ``PartialFractions`` summed back into one ``RatFunc``), ``multiplicity``,
@@ -55,8 +60,9 @@ from artifact.exactalg import (
     eval_mod,
     factor_irreducible,
     inverse_mod,
-    poly_xgcd,
+    squarefree_decompose,
 )
+from artifact.exactalg.upoly import NEG_INF, Degree
 from artifact.exactalg.field import _fraction_sqrt
 from artifact.unfoldings import (
     ClauseEvaluation,
@@ -727,3 +733,33 @@ def schoolbook_divmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
         t = UPoly([0] * shift + [r.lc() / b.lc()], d)
         q, r = schoolbook_add(q, t), schoolbook_add(r, schoolbook_mul(t, b), -1)
     return q, r
+
+
+def poly_xgcd(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly, UPoly]:
+    """Extended gcd: returns monic g and u, v with u*a + v*b = g."""
+    d = a.d
+    r0, r1 = a, b
+    s0, s1 = UPoly.one(d), UPoly.zero(d)
+    t0, t1 = UPoly.zero(d), UPoly.one(d)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = r0.lc().inverse()
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
+def squarefree_part(f: UPoly) -> UPoly:
+    """The monic radical: the product of the distinct irreducible factors."""
+    result = UPoly.one(f.d)
+    for part, _ in squarefree_decompose(f):
+        result = result * part
+    return result
+
+
+def degree_xi(p: BiPoly) -> Degree:
+    """The degree of p in xi (-inf for the zero polynomial)."""
+    return max((r.degree for r in p.rows if not r.is_zero()), default=NEG_INF)

@@ -536,6 +536,12 @@ def _inline_p(tmp_path, term):
         (lambda tmp: _inline_p(tmp, "\u00b2*xi - 1"), None, EXIT_USAGE,
          "error: [system] P: line 1, column 9: unexpected character "
          "'\u00b2'\n"),
+        (lambda tmp: ["check", write(tmp, "p.ini", INLINE_INI.replace(
+            "P = eta^2 + xi^2 - 1", "P = eta^2/(xi + 1)"))], None,
+         EXIT_USAGE, "error: [system] P: line 1, column 6: '/' (other than "
+         "a rational literal) is not allowed here\n"),
+        (lambda tmp: FOLD_HOPF_ARGV + ["--s", "2"], None, EXIT_USAGE,
+         "error: --s: expected +1 or -1, got 2\n"),
         (_non_utf8_config, None, EXIT_USAGE,
          "error: cannot parse config file {tmp}/latin1.ini: "),
         (lambda tmp: FOLD_HOPF_ARGV + ["--json", f"{tmp}/no/such.json"],
@@ -551,7 +557,7 @@ def _inline_p(tmp_path, term):
          ZeroDivisionError("boom"), EXIT_INTERNAL, None),
     ],
     ids=["nested-parentheses", "long-literal", "superscript-digit",
-         "non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
+         "slash-in-P", "sign-flag", "non-utf8-config", "json-missing-dir", "sweep-json-missing-dir",
          "unexpected-exception", "sweep-unexpected-exception"],
 )
 def test_every_failure_is_classified(tmp_path, monkeypatch, capsys,

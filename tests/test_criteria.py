@@ -8,7 +8,6 @@ import pytest
 from artifact.criteria import (
     DEFAULT_MAX_ORDER,
     MAX_ORDER_CAP,
-    SkipOrder,
     _ode_solutions,
     build_rho,
     certify,
@@ -42,6 +41,7 @@ from oracles import (
     multiplicity,
     omega,
     partition,
+    squarefree_part,
 )
 
 
@@ -86,9 +86,29 @@ def test_partition_omits_unchanged_classes(F2):
     assert part.rad1 == xp(1, 1)
 
 
-def test_partition_zero_kappak_skips(F2):
-    with pytest.raises(SkipOrder):
-        partition(rf("1/xi", F2), RatFunc.zero(2))
+def test_partition_zero_kappak_skips(F2, rt2, monkeypatch):
+    """certify records an order whose kappa_k vanishes as skipped and
+    never partitions it."""
+    from artifact import criteria
+
+    partitioned = []
+    real = criteria.partition_roots
+
+    def spy(kappa1, kappak, *classes):
+        partitioned.append(kappak)
+        return real(kappa1, kappak, *classes)
+
+    monkeypatch.setattr(criteria, "partition_roots", spy)
+    # the resonance-gap system: even orders vanish, odd orders run
+    system, curve = fold_hopf_system(FoldHopfParams(F2, -1, rt2, 2 + rt2))
+    cert = certify(system, curve, K=5)
+    skipped = [o for o in cert.orders if o.skipped]
+    assert [o.k for o in skipped] == [2, 4]
+    for o in skipped:
+        assert o.precondition_failures == ("kappa_k vanishes identically",)
+        assert o.partition is None and o.diagnostics is None
+    assert len(partitioned) == 2
+    assert not any(kappak.is_zero() for kappak in partitioned)
 
 
 def test_partition_polynomial_kappak(F2):
@@ -260,6 +280,18 @@ def test_divide_by_rho_counts_distinct_roots(F2):
     # rho_bar = xi^4 + 2 xi^2 has distinct roots {0, +-i sqrt 2}: the
     # squarefree part is xi (xi^2 + 2), three distinct roots
     assert n_bar == 3
+    # products with repeated factors, against the squarefree part
+    rng = random.Random(53)
+    for _ in range(30):
+        rho_bar = UPoly.one(2)
+        for _ in range(rng.randint(1, 3)):
+            factor = rand_upoly(rng, F2, max_degree=2, nonzero=True)
+            rho_bar = rho_bar * factor ** rng.randint(1, 3)
+        rho = rand_upoly(rng, F2, max_degree=3, nonzero=True)
+        rest = rand_upoly(rng, F2, max_degree=3) % rho
+        quotient, _, n_bar = divide_by_rho(rho_bar * rho + rest, rho)
+        assert quotient == rho_bar
+        assert n_bar == squarefree_part(rho_bar).degree
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from artifact.exactalg import (
     UPoly,
     inverse_mod,
     poly_gcd,
-    poly_xgcd,
     squarefree_decompose,
-    squarefree_part,
     strip_power_of_x,
 )
 from artifact.exactalg import field, upoly
@@ -24,10 +22,12 @@ from oracles import (
     monomial,
     multiplicity,
     poly_eval,
+    poly_xgcd,
     schoolbook_add,
     schoolbook_divmod,
     schoolbook_mul,
     schoolbook_scale,
+    squarefree_part,
 )
 
 
@@ -141,16 +141,27 @@ def test_xgcd_bezout_identity(F2):
         assert g == poly_gcd(a, b)
 
 
-def test_inverse_mod(F2):
-    p = xp(-2, 0, 1)  # xi^2 - 2, irreducible over Q but splits in Q(rt2)?
-    # over Q(sqrt 2) xi^2 - 2 is NOT irreducible; use xi^2 - 3 instead
-    p = xp(-3, 0, 1)
-    f = xp(1, 1)
-    inv = inverse_mod(f, p)
-    _, r = divmod(f * inv - UPoly.one(2), p)
-    assert r.is_zero()
-    with pytest.raises(ValueError):
-        inverse_mod(p, p)
+def test_inverse_mod():
+    """inverse_mod agrees with the extended-Euclid oracle modulo p, p^2
+    and p^3 for linear and quadratic p over several fields, and refuses
+    an f that shares the factor p with the modulus."""
+    rng = random.Random(43)
+    for d in (1, 2, 5, -1, -3):
+        F = FieldSpec(d)
+        for degree in (1, 2):
+            p = UPoly([rand_scalar(rng, F) for _ in range(degree)] + [1], d)
+            for m in (p, p**2, p**3):
+                f = rand_upoly(rng, F, max_degree=5, nonzero=True)
+                g, u, _ = poly_xgcd(f % m, m)
+                if g.is_one():
+                    inv = inverse_mod(f, m)
+                    assert inv == u % m
+                    assert ((f * inv - 1) % m).is_zero()
+                else:
+                    with pytest.raises(ValueError):
+                        inverse_mod(f, m)
+                with pytest.raises(ValueError):
+                    inverse_mod(f * p, m)
 
 
 def test_squarefree_decompose_reconstructs(F2):
