@@ -47,6 +47,11 @@ _GATE4_FOLD_HOPF = (
     ("fh_m1_2_3", (F(-1), F(2), F(3), 1)),
 )
 _GATE4_DOUBLE_HOPF = DoubleHopfParams(F, F(1), RT, F(Fraction(1, 2)), F(1))
+# double-Hopf (1, rt, 1, 1), chart 1: an H2 witness at 12 orders up to
+# K = 25, over Q(sqrt 2) and over Q(sqrt -1), where the gcd filter finds
+# no split prime and every reduction runs the full Euclid.
+_WITNESS_FIELDS = (("dh1_1_rt_1_1_k25", FieldSpec(2)),
+                   ("dh1_dm1_1_rt_1_1_k25", FieldSpec(-1)))
 
 _SIX_TERM = (
     "(-1 + rt)*xi^3*eta^2 + 2*xi^2*eta^2 + xi*eta^2 + eta^2"
@@ -70,10 +75,10 @@ def _fold_hopf(field, args, K) -> SystemSpec:
     )
 
 
-def _double_hopf(K) -> SystemSpec:
+def _double_hopf(K, params=_GATE4_DOUBLE_HOPF) -> SystemSpec:
     return SystemSpec(
-        field=F, max_order=K, family=FAMILY_DOUBLE_HOPF, chart=1,
-        params=_GATE4_DOUBLE_HOPF,
+        field=params.field, max_order=K, family=FAMILY_DOUBLE_HOPF, chart=1,
+        params=params,
     )
 
 
@@ -149,6 +154,9 @@ def corpus() -> Dict[str, SystemSpec]:
         for label, args in _GATE4_FOLD_HOPF:
             specs[f"{label}_k{K}"] = _fold_hopf(F, args, K)
         specs[f"dh1_1_rt_1by2_1_k{K}"] = _double_hopf(K)
+    for label, field in _WITNESS_FIELDS:
+        specs[label] = _double_hopf(25, DoubleHopfParams(
+            field, field(1), field.surd(), field(1), field(1)))
     Q1 = FieldSpec(1)
     specs["fh_d1_1_1_1by2_k9"] = _fold_hopf(
         Q1, (Q1(1), Q1(1), Q1(Fraction(1, 2)), 1), 9
