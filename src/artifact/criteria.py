@@ -297,7 +297,8 @@ def _ode_solutions(
 
     The pair is normalised as reduced echelon form normalises it: the
     kernel generator has its top nonzero coefficient (at the resonance)
-    equal to 1, and the particular solution is 0 at that index.
+    equal to 1, and the particular solution is 0 at that index.  Both are
+    checked, so every particular + t*kernel solves the equation.
     """
     if A.is_zero():
         raise ValueError("leading coefficient polynomial A must be nonzero")
@@ -374,9 +375,11 @@ def _ode_solutions(
         p = [x + t * y for x, y in zip(p, q)]
         q = None
     particular = UPoly(p, d)
-    if A * particular.derivative() + rho * particular != rhs:
-        raise AssertionError("ODE solver produced a non-solution")
-    return particular, (UPoly(q, d) if q is not None else None)
+    kernel = None if q is None else UPoly(q, d)
+    for w, want in ((particular, rhs), (kernel, UPoly.zero(d))):
+        if w is not None and A * w.derivative() + rho * w != want:
+            raise AssertionError("ODE solver produced a non-solution")
+    return particular, kernel
 
 
 def _coprime_solution(
@@ -420,6 +423,9 @@ class H2FailureWitness:
     theta_log_derivative is the exact logarithmic derivative
     (k-1)*kappa_1 - sum_shared a1*p'/p - sum_new (ak-1)*p'/p + z'/z,
     a rational function certifying that theta_k is non-transcendental.
+    build_rho puts the class terms over A = kappa_1d*radk, as rho/A, and
+    z solves A z' + rho z = kappa_kn, so the sum is the single quotient
+    rho/A + z'/z = (A z' + rho z)/(A z) = kappa_kn/(A z).
     """
 
     k: int
@@ -428,16 +434,11 @@ class H2FailureWitness:
 
 
 def _assemble_witness(
-    k: int, kappa1: RatFunc, part: RootPartition, z: UPoly
+    k: int, A: UPoly, kappakn: UPoly, z: UPoly
 ) -> H2FailureWitness:
-    acc = kappa1 * (k - 1)
-    for c in part.shared:
-        acc = acc - RatFunc(c.factor.derivative(), c.factor) * c.a1
-    for c in part.new:
-        acc = acc - RatFunc(c.factor.derivative(), c.factor) * (c.ak - 1)
-    if not z.is_constant():
-        acc = acc + RatFunc(z.derivative(), z)
-    return H2FailureWitness(k=k, solution=z, theta_log_derivative=acc)
+    return H2FailureWitness(
+        k=k, solution=z, theta_log_derivative=RatFunc(kappakn, A * z)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +590,7 @@ def _run_ode_test(
     z = _coprime_solution(A, rho, kappak.num, part)
     if z is None:
         return "iii", None
-    return None, _assemble_witness(k, kappa1, part, z)
+    return None, _assemble_witness(k, A, kappak.num, z)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,9 @@ are well defined, which the degree-comparison criteria rely on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .field import QuadExt
 from .upoly import UPoly, poly_gcd
-
-Scalar = Union[int, Fraction, QuadExt]
 
 
 class RatFunc:
@@ -72,10 +69,6 @@ class RatFunc:
     def zero(d: int) -> "RatFunc":
         return RatFunc(UPoly.zero(d), UPoly.one(d))
 
-    @staticmethod
-    def constant(c: Scalar, d: int) -> "RatFunc":
-        return RatFunc(UPoly.constant(c, d), UPoly.one(d))
-
     # -- structure --------------------------------------------------------------
 
     @property
@@ -101,7 +94,7 @@ class RatFunc:
         if isinstance(other, UPoly):
             return RatFunc.from_poly(other)
         if isinstance(other, (int, Fraction, QuadExt)):
-            return RatFunc.constant(other, self.d)
+            return RatFunc.from_poly(UPoly.constant(other, self.d))
         return None  # type: ignore[return-value]
 
     def __add__(self, other):

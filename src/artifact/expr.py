@@ -295,7 +295,9 @@ def parse_ratfunc(text: str, field: FieldSpec) -> RatFunc:
     value = parse_expression(text, field)
     if isinstance(value, RatFunc):
         return value
-    return RatFunc.from_poly(_eta_free(value, _tokenize(text)))
+    if value.degree_eta > 0:
+        _eta_free(value, _tokenize(text))  # raises at the first 'eta'
+    return RatFunc.from_poly(value.row(0))
 
 
 # -- printing ---------------------------------------------------------------

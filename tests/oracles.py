@@ -38,6 +38,9 @@
   multiplies out Yun's decomposition, the reference for the distinct-root
   count ``n_bar`` of ``divide_by_rho``; ``degree_xi`` is the degree of a
   ``BiPoly`` in xi;
+* ``theta_by_parts`` sums theta_k's log derivative term by term,
+  (k-1)*kappa_1 - sum_shared a1*p'/p - sum_new (ak-1)*p'/p + z'/z, the
+  reference for the single quotient kappa_kn/(A z) of ``_assemble_witness``;
 * the exact-algebra members that only tests call: ``ratfunc_eval_mod``
   and ``constant_eval_mod`` (evaluation in K[xi]/(p)), ``recombine`` (a
   ``PartialFractions`` summed back into one ``RatFunc``), ``multiplicity``,
@@ -217,7 +220,7 @@ def shift_eta(p: BiPoly, phi: RatFunc, order: int) -> List[RatFunc]:
     Exact binomial expansion: the w^k coefficient is
     sum_{j >= k} C(j, k) * row_j(xi) * phi(xi)^(j-k).
     """
-    phi_pows: List[RatFunc] = [RatFunc.constant(1, p.d)]
+    phi_pows: List[RatFunc] = [RatFunc.from_poly(UPoly.one(p.d))]
     for _ in range(max(p.degree_eta, 0)):
         phi_pows.append(phi_pows[-1] * phi)
     out: List[RatFunc] = []
@@ -420,6 +423,20 @@ def partition(kappa1: RatFunc, kappak: RatFunc) -> RootPartition:
 def omega(kappa1: RatFunc) -> OmegaData:
     """omega_decompose with kappa_1's denominator factored afresh."""
     return omega_decompose(kappa1, pole_classes(kappa1))
+
+
+def theta_by_parts(
+    k: int, kappa1: RatFunc, part: RootPartition, z: UPoly
+) -> RatFunc:
+    """theta_k'/theta_k as a sum of reduced RatFuncs, one per term."""
+    acc = kappa1 * (k - 1)
+    for c in part.shared:
+        acc = acc - RatFunc(c.factor.derivative(), c.factor) * c.a1
+    for c in part.new:
+        acc = acc - RatFunc(c.factor.derivative(), c.factor) * (c.ak - 1)
+    if not z.is_constant():
+        acc = acc + RatFunc(z.derivative(), z)
+    return acc
 
 
 def fold_hopf_kappa(p: FoldHopfParams, k: int) -> RatFunc:

@@ -42,7 +42,9 @@ from oracles import (
     omega,
     partition,
     squarefree_part,
+    theta_by_parts,
 )
+from test_golden import corpus
 
 
 def xp(*coeffs, d=2):
@@ -440,6 +442,17 @@ def test_ode_solutions_rejects_like_dense_oracle(A, rho, rhs):
     assert dense_ode_solutions(A, rho, rhs) == (None, [])
 
 
+def test_ode_solutions_checks_the_kernel(monkeypatch):
+    """(x + 1) z' - 2 z = 0 has the kernel (x + 1)^2 and the particular
+    solution 0; a kernel the back-substitution gets wrong is refused."""
+    A, rho, zero = xp(1, 1), xp(-2), UPoly.zero(2)
+    assert _ode_solutions(A, rho, zero) == (zero, xp(1, 2, 1))
+    # QuadExt negation as the identity flips the sign of q_1 only
+    monkeypatch.setattr(QuadExt, "__neg__", lambda self: self)
+    with pytest.raises(AssertionError, match="non-solution"):
+        _ode_solutions(A, rho, zero)
+
+
 def _count_mul(monkeypatch, A, rho, rhs):
     calls = [0]
     mul = QuadExt.__mul__
@@ -575,18 +588,31 @@ def test_h2_failure_witness_double_hopf_alpha_one(F2, rt2):
     assert A * z.derivative() + rho * z == kk.num
     assert poly_gcd(z, part.rad1 * part.radk).degree <= 0
     # the log-derivative identity: theta'/theta reconstructed from parts
-    expected = k1 * 2
-    for c in part.shared:
-        expected = expected - RatFunc(c.factor.derivative(), c.factor) * c.a1
-    for c in part.new:
-        expected = expected - RatFunc(c.factor.derivative(), c.factor) * (
-            c.ak - 1
-        )
-    if not z.is_constant():
-        expected = expected + RatFunc(z.derivative(), z)
-    assert witness.theta_log_derivative == expected
+    assert witness.theta_log_derivative == theta_by_parts(3, k1, part, z)
     # and the scan records it without firing
     assert out.fired is None and out.h2_failure is not None
+
+
+@pytest.mark.parametrize("label", [
+    "inline_six_term_k6", "fh_d1_1_1_1by2_k9",
+    "dh1_1_rt_1_1_k25", "dh1_dm1_1_rt_1_1_k25",
+])
+def test_golden_witnesses_equal_theta_by_parts(label):
+    """On every witness-bearing golden request, the one quotient
+    kappa_kn/(A z) is the term-by-term sum and z solves the ODE."""
+    spec = corpus()[label]
+    cert = certify(*spec.build(), spec.max_order)
+    kappa1 = cert.variational.kappa(1)
+    assert cert.h2_failures
+    for o in cert.orders:
+        if o.h2_failure is None:
+            continue
+        z, part = o.h2_failure.solution, o.partition
+        assert o.h2_failure.theta_log_derivative == theta_by_parts(
+            o.k, kappa1, part, z)
+        A = kappa1.den * part.radk
+        rho = o.diagnostics.rho
+        assert A * z.derivative() + rho * z == cert.variational.kappa(o.k).num
 
 
 # ---------------------------------------------------------------------------

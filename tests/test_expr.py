@@ -78,6 +78,8 @@ def test_parse_errors_carry_position(F2, F1):
 def test_shape_errors_name_the_offending_token(F2):
     cases = [
         (parse_ratfunc, "xi + 2*eta", 1, 8, "'eta' is not allowed"),
+        (parse_ratfunc, "xi + eta", 1, 6,
+         "line 1, column 6: 'eta' is not allowed in this expression"),
         (parse_ratfunc, "(xi - 1)/(xi +\n 3*eta)", 2, 4, "'eta' is not"),
         (parse_ratfunc, "eta - eta + xi/(1 + eta)", 1, 21, "'eta' is not"),
         (parse_ratfunc, "(xi + 1)/(xi - xi)", 1, 9, "zero denominator"),
@@ -91,6 +93,20 @@ def test_shape_errors_name_the_offending_token(F2):
             parse(text, F2)
         assert (info.value.line, info.value.column) == (line, column), text
         assert message in str(info.value)
+
+
+def test_parse_ratfunc_tokenizes_once(F2, monkeypatch):
+    """Only the error path tokenizes again, to find the 'eta'."""
+    from artifact import expr
+
+    calls = []
+    tokenize = expr._tokenize
+    monkeypatch.setattr(
+        expr, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+    for text in ("1/2", "xi + 1"):
+        calls.clear()
+        parse_ratfunc(text, F2)
+        assert calls == [text]
 
 
 def test_digits_are_ascii_only(F2):

@@ -56,7 +56,7 @@ def test_mixed_scalar_and_poly_operations(F2, rt2):
     assert f + 1 == RatFunc(xp(0, 2), xp(-1, 1))
     assert (f * rt2) / rt2 == f
     assert f - f == RatFunc.zero(2)
-    assert RatFunc.constant(rt2, 2).is_constant()
+    assert RatFunc.from_poly(UPoly.constant(rt2, 2)).is_constant()
 
 
 def test_quotient_rule_derivative(F2):
@@ -121,7 +121,7 @@ def test_bipoly_eval_eta_and_shift_series(F2):
     for _ in range(15):
         rows = [rand_upoly(rng, F2, max_degree=2) for _ in range(3)]
         P = BiPoly(rows, 2)
-        phi = RatFunc.constant(F2(rng.randint(-3, 3)), 2)
+        phi = RatFunc.from_poly(UPoly.constant(F2(rng.randint(-3, 3)), 2))
         coeffs = shift_eta(P, phi, order=3)
         assert len(coeffs) == 4
         assert coeffs[3].is_zero()  # degree_eta <= 2
