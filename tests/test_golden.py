@@ -1,15 +1,18 @@
 """Golden corpus: certificates that must not change by a single byte.
 
 Each file under tests/golden/ is the JSON report of one request, with the
-``version`` field blanked.  The test recomputes every report and compares
-the text exactly; it never writes a file.  When certificates change on
-purpose, rewrite the corpus from the repository root with
+``version`` field blanked; tests/golden_traces.json holds the text trace
+of each certificate, which the JSON report leaves out.  The test
+recomputes every report and compares the text exactly; it never writes a
+file.  When certificates change on purpose, rewrite the corpus from the
+repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff.
 """
 
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +37,7 @@ from artifact.unfoldings import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TRACES = GOLDEN.parent / "golden_traces.json"
 
 F = FieldSpec(2)
 RT = F.surd()
@@ -185,8 +189,10 @@ def report_text(spec: SystemSpec) -> str:
 
 @pytest.mark.parametrize("label", sorted(corpus()))
 def test_certificate_matches_golden(label):
-    expected = (GOLDEN / f"{label}.json").read_text()
-    assert report_text(corpus()[label]) == expected
+    report = replace(run_check(corpus()[label]), version="")
+    assert report.to_json() == (GOLDEN / f"{label}.json").read_text()
+    traces = json.loads(TRACES.read_text())
+    assert list(report.certificate.trace) == traces[label]
 
 
 def test_sheared_fold_hopf_keeps_the_verdict():
@@ -205,6 +211,11 @@ def test_corpus_has_no_stray_files():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    traces = {}
     for name, spec in corpus().items():
-        (GOLDEN / f"{name}.json").write_text(report_text(spec))
-    print(f"wrote {len(corpus())} files to {GOLDEN}", file=sys.stderr)
+        report = replace(run_check(spec), version="")
+        (GOLDEN / f"{name}.json").write_text(report.to_json())
+        traces[name] = list(report.certificate.trace)
+    TRACES.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus())} files to {GOLDEN} and {TRACES}",
+          file=sys.stderr)
