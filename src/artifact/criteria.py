@@ -21,6 +21,8 @@ Everything is exact; no criterion is ever decided numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactalg import (
@@ -41,6 +43,7 @@ from .varcalc import (
     kappa_coefficients,
     omega_decompose,
 )
+from .exactalg.upoly import from_integer_parts, integer_parts, pair_product
 
 MAX_ORDER_CAP = 25
 DEFAULT_MAX_ORDER = 9
@@ -270,6 +273,22 @@ def divide_by_rho(
     return rho_bar, rho_tilde, n_bar
 
 
+# (p, q, r) standing for (p + q*sqrt d)/r
+Triple = Tuple[int, int, int]
+# the one zero triple, so that a row skips zero unknowns by identity
+_ZERO: Triple = (0, 0, 1)
+
+
+def _reduced(p: int, q: int, r: int) -> Triple:
+    """(p + q*sqrt d)/r with r > 0 and gcd(p, q, r) = 1; _ZERO for 0."""
+    if not (p or q):
+        return _ZERO
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(p, q, r)
+    return p // g, q // g, r // g
+
+
 def _ode_solutions(
     A: UPoly, rho: UPoly, rhs: UPoly
 ) -> Tuple[Optional[UPoly], Optional[UPoly]]:
@@ -295,10 +314,19 @@ def _ode_solutions(
     for every t; the kernel survives only when no check fixes t.  No row
     lies above n + lead, since n + lead > deg rhs.
 
+    The solve runs on integer pairs: A, rho and rhs are scaled by the lcm
+    L of all their coefficient denominators, which leaves the solutions
+    unchanged, so each coefficient is an integer pair (p, q) standing for
+    p + q*sqrt d.  An unknown is a triple (p, q, r) for (p + q*sqrt d)/r.
+    A row sums its few terms over the lcm of their r with plain integer
+    products; dividing by c(i) multiplies by its conjugate and divides by
+    its integer norm, and `_reduced` then takes the one gcd per unknown.
+
     The pair is normalised as reduced echelon form normalises it: the
     kernel generator has its top nonzero coefficient (at the resonance)
     equal to 1, and the particular solution is 0 at that index.  Both are
-    checked, so every particular + t*kernel solves the equation.
+    checked in integers, each over one denominator, so every particular +
+    t*kernel solves the equation.
     """
     if A.is_zero():
         raise ValueError("leading coefficient polynomial A must be nonzero")
@@ -317,69 +345,100 @@ def _ode_solutions(
         if resonance.is_nonneg_integer():
             candidates.append(int(resonance.a))
     n_max = max(candidates) + 2
-    zero = QuadExt(0, 0, d)
-    a_terms = [(j, c) for j, c in enumerate(A.coeffs) if c]
-    r_terms = [(j, c) for j, c in enumerate(rho.coeffs) if c]
+    ps, qs, _ = integer_parts(A.coeffs + rho.coeffs + rhs.coeffs)
+    na, nr = len(A.coeffs), len(A.coeffs) + len(rho.coeffs)
+    (ap, aq), (rp, rq), (sp, sq) = [
+        (ps[i:j], qs[i:j]) for i, j in ((0, na), (na, nr), (nr, len(ps)))]
+    a_terms = [(j, x, y) for j, (x, y) in enumerate(zip(ap, aq)) if x or y]
+    r_terms = [(j, x, y) for j, (x, y) in enumerate(zip(rp, rq)) if x or y]
 
-    def row(m: int, z: List[QuadExt], dz: List[QuadExt]) -> QuadExt:
-        """[x^m] (A w' + rho w) for w = sum z_i x^i, given dz_i = i*z_i."""
-        acc = zero
-        for j, c in a_terms:
-            i = m + 1 - j
-            if 0 <= i <= n_max and dz[i]:
-                acc = acc + c * dz[i]
-        for j, c in r_terms:
-            i = m - j
-            if 0 <= i <= n_max and z[i]:
-                acc = acc + c * z[i]
-        return acc
+    def row(m: int, z: List[Triple]) -> Triple:
+        """[x^m] L*(A w' + rho w) for w = sum z_i x^i, unreduced."""
+        terms = [(i * x, i * y, z[i]) for j, x, y in a_terms
+                 if 0 < (i := m + 1 - j) <= n_max and z[i] is not _ZERO]
+        terms += [(x, y, z[i]) for j, x, y in r_terms
+                  if 0 <= (i := m - j) <= n_max and z[i] is not _ZERO]
+        r = lcm(*[zr for _, _, (_, _, zr) in terms])
+        u = v = 0
+        for x, y, (zp, zq, zr) in terms:
+            f = r // zr
+            u += (x * zp + d * y * zq) * f
+            v += (x * zq + y * zp) * f
+        return u, v, r
 
-    top_a, top_r = A.coeff(lead + 1), rho.coeff(lead)
-    p = [zero] * (n_max + 1)
-    dp = [zero] * (n_max + 1)
-    q: Optional[List[QuadExt]] = None
-    dq: List[QuadExt] = []
+    def residual(m: int, z: List[Triple]) -> Triple:
+        """[x^m] L*(rhs - A w' - rho w), unreduced."""
+        u, v, r = row(m, z)
+        s_p, s_q = (sp[m], sq[m]) if 0 <= m < len(sp) else (0, 0)
+        return s_p * r - u, s_q * r - v, r
+
+    def divide(u: int, v: int, r: int, cp: int, cq: int) -> Triple:
+        """(u + v*sqrt d)/(r*(cp + cq*sqrt d)), reduced."""
+        if cq:
+            return _reduced(u * cp - d * v * cq, v * cp - u * cq,
+                            r * (cp * cp - d * cq * cq))
+        return _reduced(u, v, r * cp)
+
+    top_a = next(((x, y) for j, x, y in a_terms if j == lead + 1), (0, 0))
+    top_r = next(((x, y) for j, x, y in r_terms if j == lead), (0, 0))
+    p = [_ZERO] * (n_max + 1)
+    q: Optional[List[Triple]] = None
     for i in range(n_max, -1, -1):
         m = i + lead
-        c = top_a * i + top_r
-        if c.is_zero():
+        cp, cq = i * top_a[0] + top_r[0], i * top_a[1] + top_r[1]
+        u, v, r = residual(m, p)
+        if not (cp or cq):
             if q is not None:
                 raise AssertionError(
                     "homogeneous kernel cannot exceed dimension 1"
                 )
-            if m >= 0 and rhs.coeff(m) != row(m, p, dp):
+            if u or v:
                 return None, None
-            q = [zero] * (n_max + 1)
-            dq = [zero] * (n_max + 1)
-            q[i] = QuadExt(1, 0, d)
-            dq[i] = QuadExt(i, 0, d)
+            q = [_ZERO] * (n_max + 1)
+            q[i] = (1, 0, 1)
             continue
-        inv = c.inverse()
-        p[i] = (rhs.coeff(m) - row(m, p, dp)) * inv
-        dp[i] = p[i] * i
+        p[i] = divide(u, v, r, cp, cq)
         if q is not None:
-            q[i] = -(row(m, q, dq) * inv)
-            dq[i] = q[i] * i
-    t: Optional[QuadExt] = None
+            u, v, r = row(m, q)
+            q[i] = divide(-u, -v, r, cp, cq)
+    t: Optional[Triple] = None
     for m in range(lead):
         # residual of row m at p + t*q is a - b*t
-        a = rhs.coeff(m) - row(m, p, dp)
-        b = row(m, q, dq) if q is not None else zero
+        au, av, ar = residual(m, p)
+        bu, bv, br = row(m, q) if q is not None else _ZERO
         if t is not None:
-            a, b = a - b * t, zero
-        if b:
-            t = a / b
-        elif a:
+            tp, tq, tr = t
+            au, av = (au * br * tr - ar * (bu * tp + d * bv * tq),
+                      av * br * tr - ar * (bu * tq + bv * tp))
+            bu = bv = 0
+        if bu or bv:
+            t = divide(au * br, av * br, ar, bu, bv)
+        elif au or av:
             return None, None
     if q is not None and t is not None:
-        p = [x + t * y for x, y in zip(p, q)]
+        tp, tq, tr = t
+        p = [_reduced(xp * tr * yr + (tp * yp + d * tq * yq) * xr,
+                      xq * tr * yr + (tp * yq + tq * yp) * xr, xr * tr * yr)
+             for (xp, xq, xr), (yp, yq, yr) in zip(p, q)]
         q = None
-    particular = UPoly(p, d)
-    kernel = None if q is None else UPoly(q, d)
-    for w, want in ((particular, rhs), (kernel, UPoly.zero(d))):
-        if w is not None and A * w.derivative() + rho * w != want:
+    out: List[Optional[UPoly]] = []
+    for z, want in ((p, (sp, sq)), (q, ([], []))):
+        if z is None:
+            out.append(None)
+            continue
+        # w = (wp + wq*sqrt d)/r: L*r*(A w' + rho w) must be L*r*want
+        r = lcm(*[zr for _, _, zr in z])
+        wp, wq = ([zi[k] * (r // zi[2]) for zi in z] for k in (0, 1))
+        dwp, dwq = ([i * x for i, x in enumerate(w)][1:] for w in (wp, wq))
+        got = pair_product(ap, aq, dwp, dwq, d)
+        if r_terms:
+            got = [[x + y for x, y in zip_longest(g, h, fillvalue=0)]
+                   for g, h in zip(got, pair_product(rp, rq, wp, wq, d))]
+        if any(g[:len(w)] != [r * x for x in w] or any(g[len(w):])
+               for g, w in zip(got, want)):
             raise AssertionError("ODE solver produced a non-solution")
-    return particular, kernel
+        out.append(from_integer_parts(wp, wq, r, d))
+    return out[0], out[1]
 
 
 def _coprime_solution(
@@ -471,6 +530,23 @@ class CriterionOutcome:
     skipped: bool = False
     partition: Optional[RootPartition] = None
     simplicity: Optional[SimplicityProfile] = None
+
+    @property
+    def summary(self) -> str:
+        """This order's line of the certificate trace."""
+        if self.skipped:
+            return "kappa_k = 0, skipped"
+        if self.fired is not None:
+            return f"criterion ({self.fired}) fires"
+        if self.h2_failure is not None:
+            return ("H2 refuted by polynomial solution"
+                    f" {self.h2_failure.solution}")
+        if self.precondition_failures:
+            return ("preconditions not met: "
+                    + "; ".join(self.precondition_failures))
+        if not self.extra_hypothesis_ok:
+            return "simplicity hypothesis for multipliers > 1 violated"
+        return "no criterion fires"
 
 
 def criterion_scan(
@@ -646,7 +722,6 @@ class Certificate:
     fired_k: Optional[int]
     fired_criterion: Optional[str]
     inconclusive_reason: Optional[str]
-    trace: Tuple[str, ...]
     variational: Optional[VariationalData] = None
 
     @property
@@ -654,6 +729,22 @@ class Certificate:
         return tuple(
             o.h2_failure for o in self.orders if o.h2_failure is not None
         )
+
+    @property
+    def trace(self) -> Tuple[str, ...]:
+        """The steps of `certify` as text lines, formatted on each read:
+        only the text report prints them."""
+        head = f"kappa_1 = {self.omega.kappa1}"
+        if not self.regular_at_infinity:
+            return (head, "deg(kappa_1 denominator) <= deg(kappa_1"
+                    " numerator): irregular at infinity; the method does"
+                    " not apply")
+        if not self.h1.holds:
+            return (head, "H1 fails: every residue is rational and E = 0")
+        tail = [f"no criterion fired for any k <= {self.max_order}"]
+        return (head, f"H1 holds ({self.h1.reason})",
+                *(f"k={o.k}: {o.summary}" for o in self.orders),
+                *(tail if self.status == STATUS_INCONCLUSIVE else ()))
 
 
 def certify(
@@ -675,10 +766,8 @@ def certify(
     """
     if not 2 <= K <= MAX_ORDER_CAP:
         raise InvalidInputError(f"max order must lie in 2..{MAX_ORDER_CAP}")
-    trace: List[str] = []
     vd = kappa_coefficients(sys, curve, K)
     kappa1 = vd.kappa(1)
-    trace.append(f"kappa_1 = {kappa1}")
     om = omega_decompose(kappa1, vd.classes(1))
 
     def certificate(status: str, **fields) -> Certificate:
@@ -686,65 +775,32 @@ def certify(
                   "fired_k": None, "fired_criterion": None,
                   "inconclusive_reason": None, **fields}
         return Certificate(status=status, system=sys, curve=curve,
-                           max_order=K, omega=om, trace=tuple(trace),
-                           variational=vd, **fields)
+                           max_order=K, omega=om, variational=vd, **fields)
 
     if not om.regular_at_infinity:
-        trace.append(
-            "deg(kappa_1 denominator) <= deg(kappa_1 numerator):"
-            " irregular at infinity; the method does not apply"
-        )
         return certificate(STATUS_INAPPLICABLE, regular_at_infinity=False)
     h1 = check_H1(om)
-    if h1.holds:
-        trace.append(f"H1 holds ({h1.reason})")
-    else:
-        trace.append("H1 fails: every residue is rational and E = 0")
+    if not h1.holds:
         return certificate(
             STATUS_INCONCLUSIVE, h1=h1, inconclusive_reason="h1-fails"
         )
     outcomes: List[CriterionOutcome] = []
-    fired_k: Optional[int] = None
-    fired_criterion: Optional[str] = None
     for k in range(2, K + 1):
         kappak = vd.kappa(k)
         if kappak.is_zero():
             outcomes.append(CriterionOutcome(
                 k=k, fired=None, skipped=True,
                 precondition_failures=("kappa_k vanishes identically",)))
-            trace.append(f"k={k}: kappa_k = 0, skipped")
             continue
         part = partition_roots(kappa1, kappak, vd.classes(1), vd.classes(k))
         prof = simplicity_profile(om, part, k)
         outcome = criterion_scan(k, kappa1, kappak, part, prof)
         outcomes.append(outcome)
         if outcome.fired is not None:
-            fired_k = k
-            fired_criterion = outcome.fired
-            trace.append(f"k={k}: criterion ({outcome.fired}) fires")
-            break
-        if outcome.h2_failure is not None:
-            trace.append(
-                f"k={k}: H2 refuted by polynomial solution"
-                f" {outcome.h2_failure.solution}"
+            return certificate(
+                STATUS_NONINTEGRABLE, h1=h1, orders=tuple(outcomes),
+                fired_k=k, fired_criterion=outcome.fired,
             )
-        elif outcome.precondition_failures:
-            trace.append(
-                f"k={k}: preconditions not met:"
-                f" {'; '.join(outcome.precondition_failures)}"
-            )
-        elif not outcome.extra_hypothesis_ok:
-            trace.append(
-                f"k={k}: simplicity hypothesis for multipliers > 1 violated"
-            )
-        else:
-            trace.append(f"k={k}: no criterion fires")
-    if fired_k is not None:
-        return certificate(
-            STATUS_NONINTEGRABLE, h1=h1, orders=tuple(outcomes),
-            fired_k=fired_k, fired_criterion=fired_criterion,
-        )
-    trace.append(f"no criterion fired for any k <= {K}")
     return certificate(
         STATUS_INCONCLUSIVE, h1=h1, orders=tuple(outcomes),
         inconclusive_reason="no-criterion-fired",

@@ -7,9 +7,9 @@ monic gcd, inverses modulo a polynomial, derivatives, and Yun's
 squarefree decomposition.  Every polynomial carries the field
 discriminant d so that even the zero polynomial knows its coefficient
 field.  Coefficients are canonical QuadExt values; a product is an
-integer convolution over one denominator per operand, and each result
-coefficient is built once by `field._make`, so it is the same canonical
-triple as the QuadExt route.
+integer convolution over one denominator per operand (`pair_product`),
+and each result coefficient is built once by `field._make`, so it is the
+same canonical triple as the QuadExt route.
 
 `poly_gcd` first runs a one-sided modular test: it reduces both inputs
 modulo the first prime p of `small_split_primes` (p = 3 mod 4, just
@@ -144,11 +144,10 @@ class UPoly:
 
     def __mul__(self, other):
         """The product by integer convolution: with each operand over one
-        denominator R as (P + Q*sqrt d)/R, the degree-k coefficient is
-        (sum P1_i*P2_j + d*Q1_i*Q2_j + (P1_i*Q2_j + Q1_i*P2_j)*sqrt d)/(R1*R2)
-        over i + j = k, which `_make` brings to its one canonical triple:
-        the schoolbook QuadExt product exactly, with one `_make` per output
-        coefficient.  No Q sums when neither operand has a surd."""
+        denominator R as (P + Q*sqrt d)/R, the product is
+        `pair_product(P1, Q1, P2, Q2)`/(R1*R2), which `_make` brings to its
+        one canonical triple per coefficient: the schoolbook QuadExt
+        product exactly."""
         if isinstance(other, (int, Fraction, QuadExt)):
             c = _coerce_coeff(other, self.d)
             return _poly([ci * c for ci in self.coeffs], self.d)
@@ -157,15 +156,10 @@ class UPoly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UPoly.zero(self.d)
-        d = self.d
-        p1, q1, r1 = _integer_parts(self.coeffs)
-        p2, q2, r2 = _integer_parts(other.coeffs)
-        out_p, r = _convolve(p1, p2), r1 * r2
-        if not (any(q1) or any(q2)):
-            return _poly([_make(p, 0, r, d) for p in out_p], d)
-        out_p = [a + d * b for a, b in zip(out_p, _convolve(q1, q2))]
-        out_q = map(add, _convolve(p1, q2), _convolve(q1, p2))
-        return _poly([_make(p, q, r, d) for p, q in zip(out_p, out_q)], d)
+        p1, q1, r1 = integer_parts(self.coeffs)
+        p2, q2, r2 = integer_parts(other.coeffs)
+        out_p, out_q = pair_product(p1, q1, p2, q2, self.d)
+        return from_integer_parts(out_p, out_q, r1 * r2, self.d)
 
     __rmul__ = __mul__
 
@@ -275,10 +269,30 @@ def _poly(cs: List[QuadExt], d: int) -> UPoly:
     return out
 
 
-def _integer_parts(cs: Sequence[QuadExt]) -> Tuple[List[int], List[int], int]:
+def integer_parts(cs: Sequence[QuadExt]) -> Tuple[List[int], List[int], int]:
     """(P, Q, R) with cs[i] = (P[i] + Q[i]*sqrt d)/R, R the lcm of the c.r."""
     r = lcm(*[c.r for c in cs])
     return [c.p * (r // c.r) for c in cs], [c.q * (r // c.r) for c in cs], r
+
+
+def from_integer_parts(ps: List[int], qs: List[int], r: int, d: int) -> UPoly:
+    """The polynomial with coefficients (ps[i] + qs[i]*sqrt d)/r, one
+    `_make` per coefficient."""
+    return _poly([_make(p, q, r, d) for p, q in zip(ps, qs)], d)
+
+
+def pair_product(
+    p1: List[int], q1: List[int], p2: List[int], q2: List[int], d: int
+) -> Tuple[List[int], List[int]]:
+    """(P, Q) with P + Q*sqrt d = (p1 + q1*sqrt d)*(p2 + q2*sqrt d), for
+    nonempty ascending integer coefficient lists: the degree-k entries are
+    sum P1_i*P2_j + d*Q1_i*Q2_j and sum P1_i*Q2_j + Q1_i*P2_j over
+    i + j = k.  No Q sums when neither factor has a surd."""
+    out_p = _convolve(p1, p2)
+    if not (any(q1) or any(q2)):
+        return out_p, [0] * len(out_p)
+    out_p = [a + d * b for a, b in zip(out_p, _convolve(q1, q2))]
+    return out_p, list(map(add, _convolve(p1, q2), _convolve(q1, p2)))
 
 
 def _convolve(a: List[int], b: List[int]) -> List[int]:

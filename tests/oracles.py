@@ -2,7 +2,9 @@
 
 * ``dense_ode_solutions`` solves A z' + rho z = rhs by Gauss-Jordan on the
   full coefficient system, with the same degree bounds as
-  ``criteria._ode_solutions``;
+  ``criteria._ode_solutions``; ``ode_solutions_reference`` is the same
+  back-substitution as ``criteria._ode_solutions`` in ``QuadExt``
+  arithmetic, the reference for its integer-pair solve;
 * ``auxiliary_polynomial`` builds the auxiliary polynomial whose double
   roots the simplicity profile predicts in closed form;
 * ``kappa_by_differentiation`` computes kappa_k by repeated symbolic
@@ -177,6 +179,95 @@ def dense_ode_solutions(
         return None, []
     particular, kernel = solved
     return UPoly(particular, d), [UPoly(v, d) for v in kernel]
+
+
+def ode_solutions_reference(
+    A: UPoly, rho: UPoly, rhs: UPoly
+) -> Tuple[Optional[UPoly], Optional[UPoly]]:
+    """(particular, kernel generator) of A z' + rho z = rhs by the
+    back-substitution of `criteria._ode_solutions` in QuadExt arithmetic,
+    one canonical field element per operation, with the check in UPoly
+    products; (None, None) when there is no solution."""
+    if A.is_zero():
+        raise ValueError("leading coefficient polynomial A must be nonzero")
+    d = A.d
+    deg_a = int(A.degree)
+    candidates = [0]
+    lead = deg_a - 1
+    if not rho.is_zero():
+        lead = max(lead, int(rho.degree))
+    if not rhs.is_zero():
+        base = int(rhs.degree) - lead
+        if base > 0:
+            candidates.append(base)
+    if not rho.is_zero() and int(rho.degree) == deg_a - 1:
+        resonance = -(rho.lc() / A.lc())
+        if resonance.is_nonneg_integer():
+            candidates.append(int(resonance.a))
+    n_max = max(candidates) + 2
+    zero = QuadExt(0, 0, d)
+    a_terms = [(j, c) for j, c in enumerate(A.coeffs) if c]
+    r_terms = [(j, c) for j, c in enumerate(rho.coeffs) if c]
+
+    def row(m: int, z: List[QuadExt], dz: List[QuadExt]) -> QuadExt:
+        """[x^m] (A w' + rho w) for w = sum z_i x^i, given dz_i = i*z_i."""
+        acc = zero
+        for j, c in a_terms:
+            i = m + 1 - j
+            if 0 <= i <= n_max and dz[i]:
+                acc = acc + c * dz[i]
+        for j, c in r_terms:
+            i = m - j
+            if 0 <= i <= n_max and z[i]:
+                acc = acc + c * z[i]
+        return acc
+
+    top_a, top_r = A.coeff(lead + 1), rho.coeff(lead)
+    p = [zero] * (n_max + 1)
+    dp = [zero] * (n_max + 1)
+    q: Optional[List[QuadExt]] = None
+    dq: List[QuadExt] = []
+    for i in range(n_max, -1, -1):
+        m = i + lead
+        c = top_a * i + top_r
+        if c.is_zero():
+            if q is not None:
+                raise AssertionError(
+                    "homogeneous kernel cannot exceed dimension 1"
+                )
+            if m >= 0 and rhs.coeff(m) != row(m, p, dp):
+                return None, None
+            q = [zero] * (n_max + 1)
+            dq = [zero] * (n_max + 1)
+            q[i] = QuadExt(1, 0, d)
+            dq[i] = QuadExt(i, 0, d)
+            continue
+        inv = c.inverse()
+        p[i] = (rhs.coeff(m) - row(m, p, dp)) * inv
+        dp[i] = p[i] * i
+        if q is not None:
+            q[i] = -(row(m, q, dq) * inv)
+            dq[i] = q[i] * i
+    t: Optional[QuadExt] = None
+    for m in range(lead):
+        # residual of row m at p + t*q is a - b*t
+        a = rhs.coeff(m) - row(m, p, dp)
+        b = row(m, q, dq) if q is not None else zero
+        if t is not None:
+            a, b = a - b * t, zero
+        if b:
+            t = a / b
+        elif a:
+            return None, None
+    if q is not None and t is not None:
+        p = [x + t * y for x, y in zip(p, q)]
+        q = None
+    particular = UPoly(p, d)
+    kernel = None if q is None else UPoly(q, d)
+    for w, want in ((particular, rhs), (kernel, UPoly.zero(d))):
+        if w is not None and A * w.derivative() + rho * w != want:
+            raise AssertionError("ODE solver produced a non-solution")
+    return particular, kernel
 
 
 def auxiliary_polynomial(

@@ -15,15 +15,18 @@ from artifact.cli import (
     EXIT_INTERNAL,
     EXIT_NONINTEGRABLE,
     EXIT_USAGE,
+    FAMILY_DOUBLE_HOPF,
     InternalError,
     SystemSpec,
     UsageError,
     load_config,
     load_sweep_config,
     main,
+    render_text,
     run_check,
     sweep,
 )
+from artifact.criteria import Certificate
 from artifact.exactalg import BiPoly, FieldSpec, RatFunc, UPoly
 from artifact.unfoldings import FAMILIES, DoubleHopfParams, FoldHopfParams
 from artifact.varcalc import CurveInSingularLocusError, InvalidInputError
@@ -219,6 +222,8 @@ def test_report_inconclusive_flavours(tmp_path):
     assert doc["h1"]["holds"] is False
     assert doc["orders"] == []
     assert report.exit_code == EXIT_INCONCLUSIVE
+    assert report.certificate.trace[1:] == (
+        "H1 fails: every residue is rational and E = 0",)
     gap = BUILTIN_INI.replace("nu = 1", "nu = rt").replace(
         "alpha = rt", "alpha = 2 + rt"
     )
@@ -243,6 +248,11 @@ def test_report_inapplicable(tmp_path):
     assert doc["h1"]["regular_at_infinity"] is False
     assert doc["h1"]["holds"] is None
     assert report.exit_code == EXIT_INAPPLICABLE
+    assert report.certificate.trace == (
+        "kappa_1 = 1",
+        "deg(kappa_1 denominator) <= deg(kappa_1 numerator):"
+        " irregular at infinity; the method does not apply",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +616,23 @@ def test_run_check_builds_the_system_once(tmp_path, monkeypatch):
     monkeypatch.setattr(SystemSpec, "build", counted)
     assert run_check(spec).to_json() == expected
     assert len(calls) == 1
+
+
+def test_json_report_never_reads_the_trace(monkeypatch):
+    """run_check and to_json leave the text trace unformatted: only the
+    text report reads it."""
+    F = FieldSpec(2)
+    spec = SystemSpec(
+        field=F, max_order=25, family=FAMILY_DOUBLE_HOPF, chart=1,
+        params=DoubleHopfParams(F, F(1), F.surd(), F(1), F(1)))
+    reads, trace = [], Certificate.trace
+    monkeypatch.setattr(Certificate, "trace", property(
+        lambda self: reads.append(1) or trace.fget(self)))
+    report = run_check(spec)
+    report.to_json()
+    assert reads == []
+    text = render_text(report)
+    assert reads and text.count("H2 refuted by polynomial solution") == 12
 
 
 def test_main_sweep(tmp_path, capsys):

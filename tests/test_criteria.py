@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from artifact import criteria
 from artifact.criteria import (
     DEFAULT_MAX_ORDER,
     MAX_ORDER_CAP,
@@ -18,7 +19,6 @@ from artifact.criteria import (
 )
 from artifact.exactalg import (
     FieldSpec,
-    QuadExt,
     RatFunc,
     UPoly,
     poly_gcd,
@@ -39,6 +39,7 @@ from oracles import (
     fold_hopf_kappa,
     monomial,
     multiplicity,
+    ode_solutions_reference,
     omega,
     partition,
     squarefree_part,
@@ -442,41 +443,75 @@ def test_ode_solutions_rejects_like_dense_oracle(A, rho, rhs):
     assert dense_ode_solutions(A, rho, rhs) == (None, [])
 
 
+def test_ode_solutions_match_reference():
+    """The integer-pair solve returns the pair of the QuadExt
+    back-substitution it replaced: resonant, kernel, no-solution, rho = 0
+    and constant-A inputs over Q(sqrt d), d = 2, -1, 5, 1."""
+    rng = random.Random(20261022)
+    for d in (2, -1, 5, 1):
+        F = FieldSpec(d)
+        for _ in range(6):
+            cases = list(_ode_cases(rng, F))
+            z = rand_upoly(rng, F, 5)
+            A = UPoly.constant(F.surd(), d)
+            cases.append(("A = rt, rho = 0", A, UPoly.zero(d), _image(
+                A, UPoly.zero(d), z)))
+            A = _rand_poly(rng, F, 0, 0)
+            rho = _rand_poly(rng, F, 0, 2)
+            cases.append(("constant A", A, rho, _image(A, rho, z)))
+            for name, A, rho, rhs in cases:
+                want = ode_solutions_reference(A, rho, rhs)
+                assert _ode_solutions(A, rho, rhs) == want, (d, name)
+
+
 def test_ode_solutions_checks_the_kernel(monkeypatch):
     """(x + 1) z' - 2 z = 0 has the kernel (x + 1)^2 and the particular
-    solution 0; a kernel the back-substitution gets wrong is refused."""
+    solution 0, and z' + z = x has the one solution x - 1; a kernel or a
+    particular solution the back-substitution gets wrong is refused."""
     A, rho, zero = xp(1, 1), xp(-2), UPoly.zero(2)
     assert _ode_solutions(A, rho, zero) == (zero, xp(1, 2, 1))
-    # QuadExt negation as the identity flips the sign of q_1 only
-    monkeypatch.setattr(QuadExt, "__neg__", lambda self: self)
-    with pytest.raises(AssertionError, match="non-solution"):
-        _ode_solutions(A, rho, zero)
+    assert _ode_solutions(xp(1), xp(1), xp(0, 1)) == (xp(-1, 1), None)
+    # every unknown the solve divides out comes back negated: q_1 and q_0
+    # of the kernel (its top q_2 = 1 is set, and the particular solution
+    # stays 0), and every coefficient of x - 1
+    reduced = criteria._reduced
+    monkeypatch.setattr(
+        criteria, "_reduced", lambda p, q, r: reduced(-p, -q, r))
+    for args in ((A, rho, zero), (xp(1), xp(1), xp(0, 1))):
+        with pytest.raises(AssertionError, match="non-solution"):
+            _ode_solutions(*args)
 
 
-def _count_mul(monkeypatch, A, rho, rhs):
+def _count_work(monkeypatch, A, rho, rhs):
+    """The per-unknown reductions plus the operands of every lcm: one per
+    term a row sums and one per unknown in each solution check."""
     calls = [0]
-    mul = QuadExt.__mul__
 
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(fn, weight):
+        def wrapper(*args):
+            calls[0] += weight(args)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    monkeypatch.setattr(
+        criteria, "_reduced", counting(criteria._reduced, lambda args: 1))
+    monkeypatch.setattr(criteria, "lcm", counting(criteria.lcm, len))
     _ode_solutions(A, rho, rhs)
-    monkeypatch.setattr(QuadExt, "__mul__", mul)
+    monkeypatch.undo()
     return calls[0]
 
 
 def test_ode_solve_work_is_linear_in_the_resonance(monkeypatch, rt2):
-    """Doubling the resonance about doubles the QuadExt products: a
-    triangular solve is linear in the degree bound, a dense one cubic."""
+    """Doubling the resonance about doubles the reductions and the row
+    terms: a triangular solve is linear in the degree bound, a dense one
+    cubic."""
     counts = []
     for r in (20, 40):
         A = UPoly([1, rt2, 2, 3], 2)
         rho = UPoly([rt2, -1, -3 * r], 2)
         rhs = _image(A, rho, UPoly([1, 2, rt2], 2))
-        counts.append(_count_mul(monkeypatch, A, rho, rhs))
-    assert counts[1] <= 2.5 * counts[0]
+        counts.append(_count_work(monkeypatch, A, rho, rhs))
+    assert 20 < counts[0] and counts[1] <= 2.5 * counts[0]
 
 
 # ---------------------------------------------------------------------------

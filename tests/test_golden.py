@@ -183,10 +183,6 @@ def corpus() -> Dict[str, SystemSpec]:
     return specs
 
 
-def report_text(spec: SystemSpec) -> str:
-    return replace(run_check(spec), version="").to_json()
-
-
 @pytest.mark.parametrize("label", sorted(corpus()))
 def test_certificate_matches_golden(label):
     report = replace(run_check(corpus()[label]), version="")
